@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import curve_fit, OptimizeWarning
-from scipy.signal import argrelextrema
 
 from .coupling import DecoherenceBudget
 from .nv_spin import DressedSpectrum, TWO_PI
@@ -293,6 +292,13 @@ def evolve(model: QuantumModel, initial: np.ndarray, times: np.ndarray,
 # exchange-rate extraction
 # ---------------------------------------------------------------------------
 
+def _strict_extrema(p: np.ndarray):
+    """Interior indices strictly above (maxima) or below (minima) both neighbours."""
+    inner, left, right = p[1:-1], p[:-2], p[2:]
+    return (np.flatnonzero((inner > left) & (inner > right)) + 1,
+            np.flatnonzero((inner < left) & (inner < right)) + 1)
+
+
 def exchange_frequency(result: EvolutionResult, spin: str = "e") -> float:
     """Population-oscillation frequency (Hz) from a damped-cosine fit.
 
@@ -300,8 +306,7 @@ def exchange_frequency(result: EvolutionResult, spin: str = "e") -> float:
     """
     t = result.times
     p = result.spin_population(spin)
-    maxima = argrelextrema(p, np.greater)[0]
-    minima = argrelextrema(p, np.less)[0]
+    maxima, minima = _strict_extrema(p)
     if maxima.size + minima.size < 3:
         raise NoOscillationError(
             f"only {maxima.size + minima.size} extrema found, need >= 3")

@@ -1,10 +1,10 @@
-"""Time-domain integration of the two tilt angles and secular-frequency extraction.
+"""Time-domain dynamics of the two tilt angles and secular-frequency extraction.
 
-The linear simulator integrates the Mathieu dynamics implied by the trap
-module's (a, q) pair for each angle; the nonlinear one keeps the full
-trigonometric torque (cos(phi2) sin(2 phi1) and cos^2(phi1) sin(2 phi2))
-whose linearization reproduces the linear model exactly.  Spin about the
-symmetry axis is held at zero throughout.
+The linear (Mathieu) model of each angle is built from one drive period of
+trap._period_flow as x(nT + s) = Phi(s) M^n x(0); the nonlinear one keeps the
+full trigonometric torque (cos(phi2) sin(2 phi1) and cos^2(phi1) sin(2 phi2)),
+whose linearization reproduces the linear model exactly, under solve_ivp.
+Spin about the symmetry axis is held at zero throughout.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .geometry import BodyProperties
-from .trap import TrapConfig, Mode, mathieu_coefficients
+from .trap import TrapConfig, Mode, _period_flow, mathieu_coefficients
 
 ANGLE_LIMIT = 0.5 * math.pi  # beyond this the small-angle model is meaningless
 MIN_SPECTRAL_SAMPLES = 1 << 10
@@ -71,51 +71,43 @@ def _angle_coefficients(body: BodyProperties, trap: TrapConfig):
     # phi1 tilts about y (leverage S_Y), phi2 about x' (leverage S_X)
     c1 = mathieu_coefficients(body, trap, Mode.ROT_Y)
     c2 = mathieu_coefficients(body, trap, Mode.ROT_X)
-    return (c1.a, c1.q), (c2.a, c2.q)
+    return (c1.a, c2.a), (c1.q, c2.q)
 
 
-def _integrate(rhs, init: RotorState, duration: float, samples: int,
-               rtol: float, atol: float, metadata: dict) -> Trajectory:
+def _linear_trajectory(model: str, a, q, W: float, gamma: float, init: RotorState,
+                       duration: float, samples: int, rtol: float) -> Trajectory:
+    """Both angles as x(nT + s) = Phi(s) M^n x(0), in tau = W t/2 with damping
+    d = gamma/W.  The run ends before the first sample beyond ANGLE_LIMIT;
+    M^n x(0) is not formed past the first period start beyond it."""
     times = np.linspace(0.0, duration, samples)
+    tau = 0.5 * W * times
+    period = np.floor(tau / math.pi).astype(np.int64)
+    s = np.clip(tau - period * math.pi, 0.0, math.pi)
+    flow = _period_flow(a, q, gamma / W, np.append(s, math.pi), rtol=rtol)  # Phi(s), M
 
-    def blowup(t, y):
-        return max(abs(y[0]), abs(y[1])) - ANGLE_LIMIT
+    starts = [np.array([[init.phi1, 2.0 * init.dphi1 / W],
+                        [init.phi2, 2.0 * init.dphi2 / W]])]
+    while len(starts) <= period[-1] and np.max(np.abs(starts[-1][:, 0])) <= ANGLE_LIMIT:
+        starts.append(np.einsum("kij,kj->ki", flow[..., -1], starts[-1]))
+    keep = int(np.searchsorted(period, len(starts)))
 
-    blowup.terminal = True
-    blowup.direction = 1.0
-
-    sol = solve_ivp(rhs, (0.0, duration), [init.phi1, init.phi2, init.dphi1, init.dphi2],
-                    t_eval=times, method="DOP853", rtol=rtol, atol=atol,
-                    events=blowup)
-    if not sol.success and sol.status != 1:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    unstable = sol.status == 1
-    n = sol.t.size
-    return Trajectory(times=sol.t, phi1=sol.y[0, :n], phi2=sol.y[1, :n],
-                      dphi1=sol.y[2, :n], dphi2=sol.y[3, :n],
-                      sample_interval=times[1] - times[0],
-                      unstable=unstable, metadata=metadata)
+    x = np.einsum("kijm,mkj->kim", flow[..., :keep], np.asarray(starts)[period[:keep]])
+    over = np.flatnonzero(np.max(np.abs(x[:, 0]), axis=0) > ANGLE_LIMIT)
+    n = int(over[0]) if over.size else keep
+    y = np.concatenate([x[:, 0, :n], 0.5 * W * x[:, 1, :n]])  # phi1, phi2, dphi1, dphi2
+    return Trajectory(times[:n], *y, times[1] - times[0], unstable=n < samples,
+                      metadata={"model": model, "drive_frequency_radps": W,
+                                "a": tuple(a), "q": tuple(q), "gamma": gamma})
 
 
 def simulate_linear(body: BodyProperties, trap: TrapConfig, init: RotorState,
                     duration: float, damping: DampingModel = DampingModel(),
-                    samples: int = 4096, rtol: float = 1e-9,
-                    atol: float = 1e-14) -> Trajectory:
-    """Small-angle (Mathieu) dynamics of both tilt angles."""
-    (a1, q1), (a2, q2) = _angle_coefficients(body, trap)
-    W = trap.drive_frequency
-    k = 0.25 * W * W
-    g = damping.gamma
-
-    def rhs(t, y):
-        drive = 2.0 * math.cos(W * t)
-        acc1 = k * (-a1 + q1 * drive) * y[0] - g * y[2]
-        acc2 = k * (-a2 + q2 * drive) * y[1] - g * y[3]
-        return [y[2], y[3], acc1, acc2]
-
-    meta = {"model": "linear", "drive_frequency_radps": W,
-            "a": (a1, a2), "q": (q1, q2), "gamma": g}
-    return _integrate(rhs, init, duration, samples, rtol, atol, meta)
+                    samples: int = 4096, rtol: float = 1e-9) -> Trajectory:
+    """Small-angle (Mathieu) dynamics of both tilt angles; rtol is the
+    tolerance of the one-period integration behind it."""
+    return _linear_trajectory("linear", *_angle_coefficients(body, trap),
+                              trap.drive_frequency, damping.gamma, init, duration,
+                              samples, rtol)
 
 
 def simulate_nonlinear(body: BodyProperties, trap: TrapConfig, init: RotorState,
@@ -123,7 +115,7 @@ def simulate_nonlinear(body: BodyProperties, trap: TrapConfig, init: RotorState,
                        samples: int = 4096, rtol: float = 1e-9,
                        atol: float = 1e-14) -> Trajectory:
     """Two-angle dynamics with the full trigonometric torque."""
-    (a1, q1), (a2, q2) = _angle_coefficients(body, trap)
+    (a1, a2), (q1, q2) = _angle_coefficients(body, trap)
     W = trap.drive_frequency
     k = 0.125 * W * W  # sin(2*phi)/2 -> phi recovers the linear model
     g = damping.gamma
@@ -135,33 +127,31 @@ def simulate_nonlinear(body: BodyProperties, trap: TrapConfig, init: RotorState,
         acc2 = k * (-a2 + q2 * drive) * math.cos(p1) ** 2 * math.sin(2.0 * p2) - g * y[3]
         return [y[2], y[3], acc1, acc2]
 
-    meta = {"model": "nonlinear", "drive_frequency_radps": W,
-            "a": (a1, a2), "q": (q1, q2), "gamma": g}
-    return _integrate(rhs, init, duration, samples, rtol, atol, meta)
+    def blowup(t, y):
+        return max(abs(y[0]), abs(y[1])) - ANGLE_LIMIT
+
+    blowup.terminal = True
+    blowup.direction = 1.0
+
+    times = np.linspace(0.0, duration, samples)
+    sol = solve_ivp(rhs, (0.0, duration), [init.phi1, init.phi2, init.dphi1, init.dphi2],
+                    t_eval=times, method="DOP853", rtol=rtol, atol=atol,
+                    events=blowup)
+    if not sol.success and sol.status != 1:
+        raise RuntimeError(f"integration failed: {sol.message}")
+    return Trajectory(sol.t, *sol.y, times[1] - times[0], unstable=sol.status == 1,
+                      metadata={"model": "nonlinear", "drive_frequency_radps": W,
+                                "a": (a1, a2), "q": (q1, q2), "gamma": g})
 
 
 def simulate_mathieu(a: float, q: float, drive_frequency: float, init: RotorState,
                      n_drive_periods: float, damping: DampingModel = DampingModel(),
                      samples: int = 4096, rtol: float = 1e-9) -> Trajectory:
-    """Integrate the normal-form Mathieu dynamics directly from given (a, q).
-
-    Convenience entry point for stability charts and cross-checks where no
-    physical body is involved; phi2 evolves with the same coefficients.
-    """
-    W = drive_frequency
-    k = 0.25 * W * W
-    g = damping.gamma
-
-    def rhs(t, y):
-        drive = 2.0 * math.cos(W * t)
-        acc1 = k * (-a + q * drive) * y[0] - g * y[2]
-        acc2 = k * (-a + q * drive) * y[1] - g * y[3]
-        return [y[2], y[3], acc1, acc2]
-
-    duration = n_drive_periods * 2.0 * math.pi / W
-    meta = {"model": "mathieu", "drive_frequency_radps": W, "a": (a, a), "q": (q, q),
-            "gamma": g}
-    return _integrate(rhs, init, duration, samples, rtol, 1e-14, meta)
+    """Normal-form Mathieu dynamics from given (a, q), for stability charts and
+    cross-checks without a physical body; phi2 has the same coefficients."""
+    duration = n_drive_periods * 2.0 * math.pi / drive_frequency
+    return _linear_trajectory("mathieu", (a, a), (q, q), drive_frequency, damping.gamma,
+                              init, duration, samples, rtol)
 
 
 # ---------------------------------------------------------------------------

@@ -198,28 +198,15 @@ def cmd_charges(cfg: RunConfig, ctx: OutputContext):
           "reproduce it (see README notes)")
 
 
-def _stability_row(a: float, q_values=None, drive=None):
-    tc = trap.TrapConfig(V_ac=1.0, V_dc=0.0, drive_frequency=drive, z0=1.0)
-    out = []
-    for q in q_values:
-        v = trap.floquet_stability(
-            trap.MathieuCoefficients(trap.Mode.ROT_Y, a, float(q)), tc)
-        out.append((a, float(q), v.stable, v.monodromy_trace))
-    return out
-
-
 def cmd_stability_chart(cfg: RunConfig, ctx: OutputContext):
-    """Floquet verdicts over an (a, q) grid."""
+    """Floquet verdicts over an (a, q) grid, one vectorised integration."""
     sc = cfg.document["stability_chart"]
-    a_values = np.linspace(sc["a_min"], sc["a_max"], sc["n_a"])
-    q_values = np.linspace(sc["q_min"], sc["q_max"], sc["n_q"])
-    worker = functools.partial(_stability_row, q_values=q_values,
-                               drive=cfg.trap_config().drive_frequency)
-    chunks = map_ordered(worker, [float(a) for a in a_values], ctx.threads)
-    rows = [row for chunk in chunks for row in chunk]
+    a, q = np.meshgrid(np.linspace(sc["a_min"], sc["a_max"], sc["n_a"]),
+                       np.linspace(sc["q_min"], sc["q_max"], sc["n_q"]), indexing="ij")
+    stable, traces = trap.stability_chart(a, q)
+    rows = list(zip(*(x.ravel().tolist() for x in (a, q, stable, traces))))
     path = ctx.write("stability_chart", ["a", "q", "stable", "monodromy_trace"], rows)
-    n_stable = sum(1 for r in rows if r[2])
-    print(f"stability-chart: {n_stable}/{len(rows)} stable -> {path}")
+    print(f"stability-chart: {int(stable.sum())}/{len(rows)} stable -> {path}")
 
 
 def cmd_dynamics(cfg: RunConfig, ctx: OutputContext):
@@ -403,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=Path("levrot_out"),
                         help="output directory (created if missing)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker processes for grid sweeps "
+                        help="worker processes for fig2-map rows "
                              "(default: LEVROT_THREADS or 1)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("verb", choices=sorted(VERBS),

@@ -1,13 +1,15 @@
 """Deterministic CSV/JSON table writers with a provenance footer.
 
 Floats are serialized with repr (shortest round-trip form), so identical
-inputs give byte-identical files; every file ends with comment lines carrying
-the package version, the config hash and the constants in force.
+inputs give byte-identical files (JSON writes non-finite floats as null);
+every file ends with comment lines carrying the package version, the
+config hash and the constants in force.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .. import __version__
@@ -32,6 +34,11 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _json_value(value):
+    value = value.item() if hasattr(value, "item") else value  # numpy scalar
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_table(path: Path, columns: list[str], rows, config_hash: str,
                 constants: PhysicalConstants, fmt: str = "csv") -> Path:
     """Write rows (sequences matching columns) as CSV or JSON records."""
@@ -44,12 +51,11 @@ def write_table(path: Path, columns: list[str], rows, config_hash: str,
     elif fmt == "json":
         payload = {
             "columns": columns,
-            "rows": [[v.item() if hasattr(v, "item") else v for v in row]
-                     for row in rows],
+            "rows": [[_json_value(v) for v in row] for row in rows],
             "provenance": provenance_lines(config_hash, constants),
         }
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n",
-                        encoding="utf-8")
+        text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
+        path.write_text(text + "\n", encoding="utf-8")
     else:
         raise ValueError(f"unknown output format {fmt!r}")
     return path

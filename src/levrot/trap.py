@@ -10,6 +10,9 @@ Mathieu normal form u'' + (a - 2 q cos 2 tau) u = 0, tau = Omega*t/2, with
 
 which for the rotational modes (C = 3 eta Q S_mu / z0^2) reproduces the
 axial-frequency relation omega_z = eta |Q| V_ac / (sqrt(2) m Omega z0^2).
+
+One period describes this periodic equation: _period_flow integrates it once
+for any number of points, for the Floquet verdicts and linear trajectories.
 """
 
 from __future__ import annotations
@@ -138,21 +141,36 @@ def secular_spectrum(body: BodyProperties, trap: TrapConfig,
 # Floquet analysis of the Mathieu normal form
 # ---------------------------------------------------------------------------
 
-def _monodromy(a: float, q: float, rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
-    """Monodromy matrix of u'' + (a - 2 q cos 2 tau) u = 0 over one period pi."""
+def _period_flow(a, q, d=0.0, s=math.pi, rtol: float = 1e-10):
+    """Fundamental matrix Phi(s) of u'' + 2d u' + (a - 2 q cos 2 tau) u = 0.
 
-    def rhs(tau, y):
-        u1, v1, u2, v2 = y
-        k = -(a - 2.0 * q * math.cos(2.0 * tau))
-        return [v1, k * u1, v2, k * u2]
+    Points (a, q, d) broadcast and are integrated over [0, pi] as one system;
+    s in [0, pi] defaults to pi (the monodromy M).  Shape (*points, 2, 2, *s).
+    """
+    a, q, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, q, d)))
+    shape, n = a.shape, a.size
+    a, q, d2 = a.reshape(n, 1), q.reshape(n, 1), 2.0 * d.reshape(n, 1)
 
-    sol = solve_ivp(rhs, (0.0, math.pi), [1.0, 0.0, 0.0, 1.0],
-                    method="DOP853", rtol=rtol, atol=atol)
+    def rhs(tau, y):  # y holds Phi = [[u1, u2], [v1, v2]] row by row, n points each
+        u1, u2, v1, v2 = y.reshape(4, n, -1)
+        k = 2.0 * q * math.cos(2.0 * tau) - a
+        return np.concatenate([v1, v2, k * u1 - d2 * v1, k * u2 - d2 * v2])
+
+    s_eval, where = np.unique(np.ravel(s), return_inverse=True)
+    sol = solve_ivp(rhs, (0.0, math.pi), np.repeat([1.0, 0.0, 0.0, 1.0], n),
+                    method="DOP853", rtol=rtol, atol=1e-12, t_eval=s_eval, vectorized=True)
     if not sol.success:
-        raise RuntimeError(f"Floquet integration failed: {sol.message} "
-                           f"(a={a}, q={q}, {sol.t.size} steps)")
-    y = sol.y[:, -1]
-    return np.array([[y[0], y[2]], [y[1], y[3]]])
+        raise RuntimeError(f"Floquet integration failed: {sol.message} ({n} points)")
+    phi = np.moveaxis(sol.y[:, where].reshape(2, 2, n, -1), 2, 0)
+    return phi.reshape(shape + (2, 2) + np.shape(s))
+
+
+def stability_chart(a, q, trace_tol: float = 1e-9):
+    """(stable, tr M) at broadcast (a, q) points from one integration;
+    stable iff |tr M| <= 2 + trace_tol (marginal included)."""
+    M = _period_flow(a, q)
+    trace = M[..., 0, 0] + M[..., 1, 1]
+    return np.abs(trace) <= 2.0 + trace_tol, trace
 
 
 def floquet_stability(coeffs: MathieuCoefficients, trap: TrapConfig,
@@ -162,16 +180,10 @@ def floquet_stability(coeffs: MathieuCoefficients, trap: TrapConfig,
     For stable modes the quasi-frequency Omega*nu/2 is reported, with
     cos(pi*nu) = tr(M)/2; it converges to the secular formula for small |q|.
     """
-    M = _monodromy(coeffs.a, coeffs.q)
-    trace = float(np.trace(M))
-    stable = abs(trace) <= 2.0 + trace_tol
-    if stable:
-        nu = math.acos(min(1.0, max(-1.0, trace / 2.0))) / math.pi
-        quasi = 0.5 * trap.drive_frequency * nu
-    else:
-        quasi = 0.0
-    return StabilityVerdict(mode=coeffs.mode, stable=stable,
-                            monodromy_trace=trace, quasi_frequency=quasi)
+    stable, trace = (x.item() for x in stability_chart(coeffs.a, coeffs.q, trace_tol))
+    nu = math.acos(min(1.0, max(-1.0, trace / 2.0))) / math.pi if stable else 0.0
+    return StabilityVerdict(mode=coeffs.mode, stable=stable, monodromy_trace=trace,
+                            quasi_frequency=0.5 * trap.drive_frequency * nu)
 
 
 def stability_boundary_q(a: float = 0.0, q_lo: float = 0.5, q_hi: float = 1.5,
@@ -179,10 +191,9 @@ def stability_boundary_q(a: float = 0.0, q_lo: float = 0.5, q_hi: float = 1.5,
     """Locate the q where |tr M| = 2 crosses, by bisection at fixed a."""
 
     def excess(q):
-        return abs(float(np.trace(_monodromy(a, q)))) - 2.0
+        return abs(float(stability_chart(a, q)[1])) - 2.0
 
-    lo, hi = excess(q_lo), excess(q_hi)
-    if lo > 0.0 or hi < 0.0:
+    if excess(q_lo) > 0.0 or excess(q_hi) < 0.0:
         raise ValueError("bisection bracket does not straddle the boundary")
     while q_hi - q_lo > tol:
         mid = 0.5 * (q_lo + q_hi)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from levrot.constants import DEFAULT_CONSTANTS
 from levrot.coupling import (DecoherenceBudget, dressed_coupling, rotational_mode,
@@ -26,11 +27,11 @@ from levrot.nv_spin import (SpinConfig, MicrowaveConfig, mixed_spectrum,
                             dressed_spectrum, resonance_solve, TWO_PI)
 from levrot.quantum_sim import (LindbladChannels, evolve, exchange_frequency,
                                 resonant_model)
-from levrot.rotor_dynamics import RotorState, simulate_mathieu
+from levrot.rotor_dynamics import Trajectory, extract_secular_frequency
 from levrot.studio.cli import main
-from levrot.trap import (MathieuCoefficients, Mode, TrapConfig, floquet_stability,
-                         secular_frequency, stability_boundary_q, thermal_angle,
-                         _monodromy)
+from levrot.trap import (MathieuCoefficients, Mode, TrapConfig,
+                         secular_frequency, stability_boundary_q, stability_chart,
+                         thermal_angle)
 
 C = DEFAULT_CONSTANTS
 E = C.elementary_charge
@@ -153,14 +154,34 @@ def test_coupling_bands():
     assert 4.5e3 <= points[0].lambda_tilde <= 7e3, points[0]
 
 
+def _direct_mathieu(a, q, n_drive_periods, samples, rtol):
+    """phi(t) of phi'' = (W^2/4)(-a + 2q cos W t) phi, phi(0) = 0.01, at broadcast
+    (a, q), by one direct vectorised solve_ivp over the whole run (no monodromy)."""
+    a, q = (np.ravel(x)[:, None] for x in np.broadcast_arrays(a, q))
+    n = a.shape[0]
+    k = 0.25 * W50 * W50
+
+    def rhs(t, y):
+        phi, dphi = y.reshape(2, n, -1)
+        return np.concatenate([dphi, k * (-a + 2.0 * q * math.cos(W50 * t)) * phi])
+
+    duration = n_drive_periods * TWO_PI / W50
+    times = np.linspace(0.0, duration, samples)
+    sol = solve_ivp(rhs, (0.0, duration), np.repeat([0.01, 0.0], n), method="DOP853",
+                    rtol=rtol, atol=1e-14, t_eval=times, vectorized=True)
+    assert sol.success, sol.message
+    return times, sol.y[:n]
+
+
 @criterion(5, "time-domain, secular formula and Floquet verdicts agree")
 def test_mathieu_cross_validation():
     trap = TrapConfig(V_ac=1.0, V_dc=0.0, drive_frequency=W50, z0=1.0)
-    init = RotorState(phi1=0.01, phi2=0.0, dphi1=0.0, dphi2=0.0)
     for q in (0.1, 0.2, 0.3):
-        traj = simulate_mathieu(0.0, q, W50, init, n_drive_periods=300,
-                                samples=8192, rtol=1e-9)
-        from levrot.rotor_dynamics import extract_secular_frequency
+        times, (phi,) = _direct_mathieu(0.0, q, 300, 8192, 1e-9)
+        n = times.size
+        traj = Trajectory(times=times, phi1=phi, phi2=np.zeros(n), dphi1=np.zeros(n),
+                          dphi2=np.zeros(n), sample_interval=times[1] - times[0],
+                          metadata={"drive_frequency_radps": W50})
         extracted = extract_secular_frequency(traj)
         formula = secular_frequency(
             MathieuCoefficients(Mode.ROT_Y, 0.0, q), trap).omega
@@ -169,15 +190,14 @@ def test_mathieu_cross_validation():
     q_c = stability_boundary_q()
     assert 0.90 <= q_c <= 0.92, q_c
 
-    disagreements = []
-    for a in np.linspace(-0.1, 0.1, 10):
-        for q in np.linspace(0.0, 1.0, 10):
-            floq = abs(float(np.trace(_monodromy(float(a), float(q))))) <= 2.0 + 1e-9
-            traj = simulate_mathieu(float(a), float(q), W50, init,
-                                    n_drive_periods=120, samples=1024, rtol=1e-8)
-            stable = (not traj.unstable) and float(np.max(np.abs(traj.phi1))) < 1.0
-            if stable != floq:
-                disagreements.append((float(a), float(q)))
+    a, q = np.meshgrid(np.linspace(-0.1, 0.1, 10), np.linspace(0.0, 1.0, 10),
+                       indexing="ij")
+    floq, _ = stability_chart(a, q, trace_tol=1e-9)
+    _, phi = _direct_mathieu(a, q, 120, 1024, 1e-8)
+    # the direct run has no blow-up stop: a point is stable when |phi| stays below 1
+    stable = np.max(np.abs(phi), axis=1) < 1.0
+    disagreements = [(float(ai), float(qi)) for ai, qi, s, f
+                     in zip(a.ravel(), q.ravel(), stable, floq.ravel()) if s != f]
     assert not disagreements, disagreements
 
 

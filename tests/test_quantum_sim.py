@@ -8,7 +8,7 @@ from levrot.nv_spin import TWO_PI
 from levrot.quantum_sim import (QuantumModel, LindbladChannels, EvolutionResult,
                                 NoOscillationError, PositivityError, build_model,
                                 resonant_model, evolve, exchange_frequency,
-                                thermal_initial_state, SPIN_LABELS)
+                                thermal_initial_state, SPIN_LABELS, _strict_extrema)
 
 LAM = 57e3                 # Hz, reference exchange rate
 OMEGA_PHI = TWO_PI * 5e6   # rad/s
@@ -233,3 +233,17 @@ def test_spin_labels_cover_basis():
     model = resonant_model(LAM, OMEGA_PHI, N_max=2)
     assert model.dim == 9
     assert [model.index(s, 0) for s in SPIN_LABELS] == [0, 3, 6]
+
+
+def test_strict_extrema_match_argrelextrema_with_ties():
+    from scipy.signal import argrelextrema
+
+    rng = np.random.default_rng(11)
+    cases = [[], [1.0], [1.0, 2.0], [0, 1, 1, 0], [1, 0, 0, 1], [2, 2, 2],
+             [0, 1, 0, 1, 0], [3, 1, 2, 2, 1, 3]]
+    cases += [rng.integers(0, 3, size=n) for n in rng.integers(3, 40, size=200)]
+    for p in cases:
+        p = np.asarray(p, dtype=float)
+        maxima, minima = _strict_extrema(p)
+        np.testing.assert_array_equal(maxima, argrelextrema(p, np.greater)[0])
+        np.testing.assert_array_equal(minima, argrelextrema(p, np.less)[0])

@@ -1,14 +1,17 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from levrot.constants import DEFAULT_CONSTANTS
 from levrot.geometry import ProlateEllipsoid, Sphere, TotalCharge, build_body
-from levrot.rotor_dynamics import (RotorState, DampingModel, Trajectory,
+from levrot.rotor_dynamics import (ANGLE_LIMIT, RotorState, DampingModel, Trajectory,
                                    simulate_linear, simulate_nonlinear,
                                    simulate_mathieu, extract_secular_frequency,
-                                   PeakExtractionError)
+                                   PeakExtractionError, _angle_coefficients)
 from levrot.trap import (TrapConfig, Mode, MathieuCoefficients,
                          mathieu_coefficients, secular_frequency,
                          floquet_stability)
@@ -74,11 +77,49 @@ def test_linear_simulation_from_body_matches_secular(prolate20, trap50):
     assert extract_secular_frequency(traj) == pytest.approx(line.omega, rel=0.02)
 
 
+def test_linear_matches_direct_integration(prolate20):
+    # I_X != I_Y and V_dc != 0 give each angle its own non-zero (a, q); the
+    # run is 78.8 drive periods long, so samples fall anywhere in a period
+    body = dataclasses.replace(prolate20, I_X=0.6 * prolate20.I_X)
+    trap = TrapConfig(V_ac=5000.0, V_dc=50.0, drive_frequency=W50, z0=10e-6)
+    (a1, a2), (q1, q2) = _angle_coefficients(body, trap)
+    assert a1 != a2 and q1 != q2 and a1 != 0.0
+    omega = secular_frequency(mathieu_coefficients(body, trap, Mode.ROT_Y), trap).omega
+    gamma = omega / 30.0
+    init = RotorState(phi1=0.01, phi2=-0.004, dphi1=0.002 * omega,
+                      dphi2=-0.001 * omega)
+    duration = 7.3 * TWO_PI / omega
+    traj = simulate_linear(body, trap, init, duration, DampingModel(gamma), samples=1000)
+    assert not traj.unstable and traj.times.size == 1000
+
+    k = 0.25 * W50 * W50
+
+    def rhs(t, y):
+        drive = 2.0 * math.cos(W50 * t)
+        return [y[2], y[3], k * (-a1 + q1 * drive) * y[0] - gamma * y[2],
+                k * (-a2 + q2 * drive) * y[1] - gamma * y[3]]
+
+    ref = solve_ivp(rhs, (0.0, duration), [init.phi1, init.phi2, init.dphi1, init.dphi2],
+                    method="LSODA", rtol=1e-11, atol=1e-16, t_eval=traj.times)
+    assert ref.success
+    got = [traj.phi1, traj.phi2, traj.dphi1, traj.dphi2]
+    for column, want in zip(got, ref.y):
+        np.testing.assert_allclose(column, want, rtol=0.0,
+                                   atol=5e-8 * np.max(np.abs(want)))
+
+
 def test_unstable_drive_flags_trajectory():
     init = RotorState(phi1=0.01, phi2=0.0, dphi1=0.0, dphi2=0.0)
     traj = simulate_mathieu(0.0, 1.0, W50, init, n_drive_periods=50)
     assert traj.unstable
     assert traj.times[-1] < 50 * TWO_PI / W50
+    # 5000 drive periods would overflow; with sparse samples the run still
+    # stops near period 20, before any sample beyond the limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = simulate_mathieu(0.0, 1.0, W50, init, n_drive_periods=5000, samples=64)
+    assert traj.unstable and traj.times.size < 64
+    assert np.max(np.abs(traj.phi1)) <= ANGLE_LIMIT
 
 
 def test_nonlinear_equilibrium_stays_zero(prolate20, trap50):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +191,11 @@ def test_stability_chart_verb(tmp_path):
     header, body, _ = read_csv(out / "stability_chart.csv")
     assert header == ["a", "q", "stable", "monodromy_trace"]
     assert len(body) == 12
+    cells = [line.split(",") for line in body]  # a-major, q varying fastest
+    assert [(float(a), float(q)) for a, q, _, _ in cells] == \
+        [(a, q) for a in np.linspace(-0.05, 0.05, 3) for q in np.linspace(0.0, 1.0, 4)]
+    assert all((s == "true") == (abs(float(t)) <= 2.0 + 1e-9) for _, _, s, t in cells)
+    assert cells[-1][2] == "false"  # q = 1 lies outside the first region
 
 
 def test_dynamics_verb(tmp_path):
@@ -291,3 +299,29 @@ def test_golden_small_map(tmp_path):
     assert code == 0
     assert (out / "fig2_map.csv").read_bytes() == \
         (GOLDEN / "fig2_map_small.csv").read_bytes()
+
+
+def test_json_tables_parse_strictly(tmp_path):
+    # unreachable resonances are NaN in memory and must be null on disk
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    code, out = run_cli(tmp_path, "fig2-map", config=SMALL_MAP_CONFIG,
+                        extra=("--format", "json"))
+    assert code == 0
+    for name in ("fig2_map.json", "fig2_overlay.json"):
+        json.loads((out / name).read_text(), parse_constant=refuse)
+    overlay = json.loads((out / "fig2_overlay.json").read_text())
+    assert any(row[2] is None and row[3] is False for row in overlay["rows"])
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    import levrot
+
+    src = str(Path(levrot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = "import sys, levrot.studio.cli; print('scipy.signal' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -8,8 +8,8 @@ from levrot.geometry import (Sphere, ProlateEllipsoid, Composite, TotalCharge,
                              SurfaceDensity, build_body)
 from levrot.trap import (Mode, TrapConfig, MathieuCoefficients, AntiTrappingError,
                          mathieu_coefficients, secular_frequency, secular_spectrum,
-                         floquet_stability, stability_boundary_q, thermal_angle,
-                         charge_budget)
+                         floquet_stability, stability_boundary_q, stability_chart,
+                         thermal_angle, charge_budget)
 
 E = DEFAULT_CONSTANTS.elementary_charge
 TWO_PI = 2 * math.pi
@@ -103,6 +103,22 @@ def test_floquet_verdicts(trap50):
     free = floquet_stability(MathieuCoefficients(Mode.ROT_Y, 0.0, 0.0), trap50)
     assert free.stable  # marginal free rotor
     assert free.monodromy_trace == pytest.approx(2.0, abs=1e-9)
+
+
+def test_chart_matches_per_point_verdicts(trap50):
+    # rows sit 0.05 and 0.01 below, then above, the first-region edge b1(q)
+    from scipy.special import mathieu_b
+
+    q = np.linspace(0.1, 0.8, 8)
+    a = mathieu_b(1, q)[None, :] + np.array([-0.05, -0.01, 0.01, 0.05])[:, None]
+    q = np.broadcast_to(q, a.shape)
+    stable, trace = stability_chart(a, q)
+    assert stable.shape == trace.shape == a.shape
+    assert stable[:2].all() and not stable[2:].any()
+    for (i, j), ai in np.ndenumerate(a):
+        v = floquet_stability(MathieuCoefficients(Mode.ROT_Y, ai, q[i, j]), trap50)
+        assert v.stable == stable[i, j]
+        assert v.monodromy_trace == pytest.approx(trace[i, j], abs=1e-8)
 
 
 def test_stability_boundary_location():
