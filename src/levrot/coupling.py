@@ -11,8 +11,8 @@ import numpy as np
 from .constants import PhysicalConstants, DEFAULT_CONSTANTS
 from .geometry import BodyProperties
 from .nv_spin import (MixedSpinSpectrum, DressedSpectrum, SpinConfig,
-                      mixed_spectrum, resonance_solve, ResonanceUnreachableError,
-                      TWO_PI)
+                      resonance_solve, resonance_K, resonance_detuning,
+                      ResonanceUnreachableError, TWO_PI)
 
 RABI_TECHNICAL_CAP = 1.0e9  # Hz; driving much beyond this is impractical
 
@@ -142,14 +142,6 @@ def bare_rate_vs_field(mode: RotationalMode, B, constants: PhysicalConstants):
     return constants.gamma_nv * B * mode.phi0 * np.cos(theta)
 
 
-def _resonance_K(mode: RotationalMode, B, constants: PhysicalConstants):
-    """K(B) = 2 (omega_e - omega_d - omega_phi) in rad/s, vectorized."""
-    B = np.asarray(B, dtype=float)
-    x = 2.0 * constants.gamma_nv * B / constants.zero_field_splitting_D
-    ed = TWO_PI * constants.zero_field_splitting_D * (np.sqrt(1.0 + x * x) - 1.0) / 2.0
-    return 2.0 * (ed - mode.omega_phi)
-
-
 def coupling_map_rows(mode: RotationalMode, B_values, psi_values,
                       constants: PhysicalConstants = DEFAULT_CONSTANTS,
                       rabi_cap: float = RABI_TECHNICAL_CAP):
@@ -162,7 +154,8 @@ def coupling_map_rows(mode: RotationalMode, B_values, psi_values,
     psi = np.asarray(psi_values, dtype=float)
     bare = bare_rate_vs_field(mode, B, constants)
     lam = np.outer(bare, np.sin(psi))
-    K = _resonance_K(mode, B, constants)
+    K = resonance_K(B, mode.omega_phi, constants.zero_field_splitting_D,
+                    constants.gamma_nv)
     required_rabi = np.outer(K, np.tan(psi)) / TWO_PI
     feasible = (K[:, None] > 0.0) & (required_rabi > 0.0) & (required_rabi <= rabi_cap)
     return lam, feasible
@@ -186,11 +179,11 @@ def resonance_curve(mode: RotationalMode, B_values, rabi_frequency: float,
     Returns (psi, feasible); psi is NaN where the resonance cannot be met
     (K <= 0, i.e. the e-d gap is below the phonon frequency).
     """
-    K = _resonance_K(mode, B_values, constants)
+    K = resonance_K(B_values, mode.omega_phi, constants.zero_field_splitting_D,
+                    constants.gamma_nv)
     rabi = TWO_PI * rabi_frequency
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta = (K * K - rabi * rabi) / (2.0 * K)
-    psi = 0.5 * np.arctan2(rabi, delta)
+        psi = 0.5 * np.arctan2(rabi, resonance_detuning(K, rabi))
     feasible = K > 0.0
     psi = np.where(feasible, psi, np.nan)
     return psi, feasible

@@ -1,5 +1,6 @@
 """NV ground-state spin in a transverse field: mixed states, microwave dressing,
-spin operators in the mixed basis and the spin-phonon resonance solver.
+spin operators in the mixed basis and the closed-form spin-phonon resonance
+solver, whose broadcastable e-d gap, K and detuning the coupling maps share.
 
 All energies are handled internally as angular frequencies (rad/s); inputs
 that are conventionally quoted in ordinary frequency (D, gamma*B, Rabi
@@ -10,10 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import PhysicalConstants, DEFAULT_CONSTANTS
 
@@ -25,6 +25,11 @@ S_Z = np.diag([-1.0, 0.0, 1.0]).astype(complex)
 S_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / SQRT2
 _SP = np.array([[0, 0, 0], [SQRT2, 0, 0], [0, SQRT2, 0]], dtype=complex)  # S_+
 S_Y = (_SP - _SP.conj().T) / 2.0j
+
+# states that the transverse field mixes: |d> stays put, |0> and |b> rotate by theta
+_KET_D = np.array([1.0, 0.0, -1.0], dtype=complex) / SQRT2
+_KET_B = np.array([1.0, 0.0, 1.0], dtype=complex) / SQRT2
+_KET_0 = np.array([0.0, 1.0, 0.0], dtype=complex)
 
 
 class ResonanceUnreachableError(ValueError):
@@ -116,6 +121,12 @@ def hamiltonian_lab(config: SpinConfig) -> np.ndarray:
     return TWO_PI * (config.D * (S_Z @ S_Z) + config.gamma * config.B * S_X)
 
 
+def _mixed_basis(theta: float) -> np.ndarray:
+    """|g>, |d>, |e> as columns in the {|-1>, |0>, |+1>} basis."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.column_stack([c * _KET_0 - s * _KET_B, _KET_D, s * _KET_0 + c * _KET_B])
+
+
 def mixed_spectrum(config: SpinConfig) -> MixedSpinSpectrum:
     x = 2.0 * config.gamma * config.B / config.D
     theta = 0.5 * math.atan(x)
@@ -123,26 +134,36 @@ def mixed_spectrum(config: SpinConfig) -> MixedSpinSpectrum:
     omega_g = TWO_PI * config.D * (1.0 - root) / 2.0
     omega_e = TWO_PI * config.D * (1.0 + root) / 2.0
     omega_d = TWO_PI * config.D
-
-    c, s = math.cos(theta), math.sin(theta)
-    d = np.array([1.0, 0.0, -1.0], dtype=complex) / SQRT2
-    b = np.array([1.0, 0.0, 1.0], dtype=complex) / SQRT2
-    zero = np.array([0.0, 1.0, 0.0], dtype=complex)
-    g = c * zero - s * b
-    e = s * zero + c * b
-    vectors = np.column_stack([g, d, e])
     return MixedSpinSpectrum(config=config, theta=theta, omega_g=omega_g,
-                             omega_d=omega_d, omega_e=omega_e, vectors=vectors)
+                             omega_d=omega_d, omega_e=omega_e,
+                             vectors=_mixed_basis(theta))
 
 
 def spin_operators_mixed_basis(theta: float):
     """(S_x, S_y, S_z) rotated into the {|g>, |d>, |e>} basis for mixing angle theta."""
-    c, s = math.cos(theta), math.sin(theta)
-    d = np.array([1.0, 0.0, -1.0], dtype=complex) / SQRT2
-    b = np.array([1.0, 0.0, 1.0], dtype=complex) / SQRT2
-    zero = np.array([0.0, 1.0, 0.0], dtype=complex)
-    U = np.column_stack([c * zero - s * b, d, s * zero + c * b])
+    U = _mixed_basis(theta)
     return tuple(U.conj().T @ S @ U for S in (S_X, S_Y, S_Z))
+
+
+def ed_gap(B, D: float, gamma: float):
+    """omega_e - omega_d (rad/s) at field B (T), broadcast over B.
+
+    Written as pi D x^2 / (1 + sqrt(1 + x^2)), x = 2 gamma B / D: the same
+    value as pi D (sqrt(1 + x^2) - 1) without its cancellation at low field.
+    """
+    x = 2.0 * gamma * np.asarray(B, dtype=float) / D
+    return math.pi * D * x * x / (1.0 + np.sqrt(1.0 + x * x))
+
+
+def resonance_K(B, omega_phi: float, D: float, gamma: float):
+    """K = 2 (omega_e - omega_d - omega_phi) in rad/s; resonance needs K > 0."""
+    return 2.0 * (ed_gap(B, D, gamma) - omega_phi)
+
+
+def resonance_detuning(K, rabi):
+    """Delta = (K^2 - Omega_R^2) / (2K) in rad/s, the detuning that solves
+    Delta + sqrt(Delta^2 + Omega_R^2) = K (rabi = Omega_R in rad/s)."""
+    return (K * K - rabi * rabi) / (2.0 * K)
 
 
 LEAKAGE_RABI_FACTOR = 5.0  # warn when the g-d drive sits too close to e-d
@@ -184,54 +205,44 @@ class ResonanceSolution:
     dressed: DressedSpectrum
 
 
-def _resonance_gap(config: SpinConfig, omega_phi: float) -> float:
-    """K = 2 (omega_e - omega_d - omega_phi); resonance needs K > 0."""
-    m = mixed_spectrum(config)
-    return 2.0 * (m.omega_e - m.omega_d - omega_phi)
-
-
 def resonance_solve(config: SpinConfig, rabi_frequency: float, omega_phi: float,
                     solve_for: str = "detuning", B_max: float = 1.0) -> ResonanceSolution:
-    """Enforce omega_e' - omega_+ = omega_phi.
+    """Enforce omega_e' - omega_+ = omega_phi, in closed form.
 
-    solve_for="detuning": B fixed by config, detuning solved in closed form
-    from Delta + sqrt(Delta^2 + Omega_R^2) = K.
-    solve_for="field": detuning pinned to zero, B found by root bracketing.
+    solve_for="detuning": B fixed by config, Delta = (K^2 - Omega_R^2)/(2K).
+    solve_for="field": detuning pinned to zero, so the resonance reads
+    omega_e - omega_d = omega_phi + Omega_R/2; with
+    u = (omega_phi + Omega_R/2) / (pi D) it inverts to
+    B = D sqrt(u (2 + u)) / (2 gamma), which must not exceed B_max.
     """
     if omega_phi <= 0.0:
         raise ValueError("omega_phi must be positive")
+    if rabi_frequency <= 0.0:
+        raise ValueError("Rabi frequency must be positive")
     rabi = TWO_PI * rabi_frequency
 
     if solve_for == "detuning":
-        K = _resonance_gap(config, omega_phi)
+        B = config.B
+        K = float(resonance_K(B, omega_phi, config.D, config.gamma))
         if K <= 0.0:
             raise ResonanceUnreachableError(
                 f"K = 2(omega_e - omega_d - omega_phi) = {K:.4e} rad/s <= 0: "
                 "the e-d gap is below the phonon frequency at this field")
-        delta = (K * K - rabi * rabi) / (2.0 * K)
-        mixed = mixed_spectrum(config)
-        dressed = dressed_spectrum(mixed, MicrowaveConfig(
-            rabi_frequency=rabi_frequency, detuning=delta / TWO_PI))
-        return ResonanceSolution(B=config.B, detuning=delta, psi=dressed.psi,
-                                 mixed=mixed, dressed=dressed)
-
-    if solve_for == "field":
+        delta = resonance_detuning(K, rabi)
+    elif solve_for == "field":
         target = omega_phi + 0.5 * rabi  # omega_e - omega_d must reach this
-
-        def gap(B):
-            m = mixed_spectrum(SpinConfig(B=B, D=config.D, gamma=config.gamma))
-            return (m.omega_e - m.omega_d) - target
-
-        if gap(B_max) < 0.0:
+        u = target / (math.pi * config.D)
+        B = config.D * math.sqrt(u * (2.0 + u)) / (2.0 * config.gamma)
+        if B > B_max:
             raise ResonanceUnreachableError(
                 f"no field below {B_max} T reaches omega_e - omega_d = "
                 f"omega_phi + Omega_R/2 = 2*pi*{target / TWO_PI:.4e} Hz")
-        B = brentq(gap, 0.0, B_max, xtol=1e-14, rtol=8.9e-16)
-        cfg = SpinConfig(B=B, D=config.D, gamma=config.gamma)
-        mixed = mixed_spectrum(cfg)
-        dressed = dressed_spectrum(mixed, MicrowaveConfig(
-            rabi_frequency=rabi_frequency, detuning=0.0))
-        return ResonanceSolution(B=B, detuning=0.0, psi=dressed.psi,
-                                 mixed=mixed, dressed=dressed)
+        delta = 0.0
+    else:
+        raise ValueError("solve_for must be 'detuning' or 'field'")
 
-    raise ValueError("solve_for must be 'detuning' or 'field'")
+    mixed = mixed_spectrum(replace(config, B=B))
+    dressed = dressed_spectrum(mixed, MicrowaveConfig(
+        rabi_frequency=rabi_frequency, detuning=delta / TWO_PI))
+    return ResonanceSolution(B=B, detuning=delta, psi=dressed.psi,
+                             mixed=mixed, dressed=dressed)

@@ -192,19 +192,6 @@ class EvolutionResult:
     def level_population(self, spin, n: int) -> np.ndarray:
         return self.populations[:, self.model.index(spin, n)]
 
-    def write_csv(self, path):
-        nf = self.model.N_max + 1
-        cols = [self.times]
-        names = ["time_s"]
-        for s, label in enumerate(SPIN_LABELS):
-            for n in range(nf):
-                cols.append(self.populations[:, s * nf + n])
-                names.append(f"P_{label}_{n}")
-        cols.append(self.purity)
-        names.append("purity")
-        np.savetxt(path, np.column_stack(cols), delimiter=",",
-                   header=",".join(names), comments="")
-
 
 class PositivityError(RuntimeError):
     """Density matrix left the physical cone beyond tolerance."""

@@ -181,6 +181,11 @@ class RunConfig:
                               "shapes"}, "fig4_curves.families[]")
             for sid in fam["shapes"]:
                 self._parse_shape_id(sid)
+        for key in ("phi1_0_rad", "phi2_0_rad"):
+            angle = doc["dynamics"][key]
+            if not isinstance(angle, (int, float)) or not abs(angle) <= math.pi / 2:
+                raise ConfigError(f"dynamics.{key} must be a number in [-pi/2, pi/2] "
+                                  "(the small-angle rotor model)")
         if doc["resonance"]["solve_for"] not in ("field", "detuning"):
             raise ConfigError("resonance.solve_for must be 'field' or 'detuning'")
         if doc["jc_sim"]["kind"] not in ("jaynes_cummings", "full_rabi"):

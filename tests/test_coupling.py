@@ -188,6 +188,18 @@ def test_resonance_overlay_passes_through_solved_point(prolate20):
     assert np.all(np.diff(vals) < 0.0)
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")  # large detunings by design
+def test_resonance_curve_matches_scalar_solver(prolate20):
+    mode = rotational_mode(prolate20, OMEGA_PHI_20)
+    B = np.array([0.012, 0.02, 0.03185, 0.05, 0.1])
+    psi, feasible = resonance_curve(mode, B, 500e6)
+    assert feasible.all()
+    for b, p in zip(B, psi):
+        sol = resonance_solve(SpinConfig.from_constants(float(b)), 500e6,
+                              OMEGA_PHI_20, solve_for="detuning")
+        assert p == pytest.approx(sol.psi, rel=0.0, abs=4e-16)
+
+
 def test_map_feasibility_flag(prolate20):
     mode = rotational_mode(prolate20, OMEGA_PHI_20)
     B = np.array([0.001, 0.03, 0.05])

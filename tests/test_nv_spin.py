@@ -6,7 +6,7 @@ import pytest
 from levrot.nv_spin import (SpinConfig, MicrowaveConfig, ResonanceUnreachableError,
                             mixed_spectrum, dressed_spectrum, resonance_solve,
                             spin_operators_mixed_basis, hamiltonian_lab,
-                            S_X, S_Y, S_Z, TWO_PI)
+                            ed_gap, S_X, S_Y, S_Z, TWO_PI)
 
 D = 2.87e9
 GAMMA = 28.024e9
@@ -145,6 +145,57 @@ def test_resonance_unreachable():
     with pytest.raises(ResonanceUnreachableError):
         resonance_solve(SpinConfig(B=0.0), rabi_frequency=500e6,
                         omega_phi=TWO_PI * 5e6, solve_for="field", B_max=1e-4)
+
+
+def _mp_gap(mp, B):
+    """omega_e - omega_d in the textbook form pi D (sqrt(1 + x^2) - 1), at mp precision."""
+    x = 2 * mp.mpf(GAMMA) * mp.mpf(B) / D
+    return mp.pi * D * (mp.sqrt(1 + x * x) - 1)
+
+
+def test_ed_gap_against_mpmath_down_to_weak_fields():
+    mp = pytest.importorskip("mpmath")
+    B = np.concatenate([np.geomspace(1e-7, 1.0, 120), [0.03]])
+    gap = ed_gap(B, D, GAMMA)
+    with mp.workdps(40):
+        for b, g in zip(B, gap):
+            ref = _mp_gap(mp, b)
+            assert abs(mp.mpf(g) - ref) <= 1e-15 * ref
+    assert float(ed_gap(0.03, D, GAMMA)) == gap[-1]  # scalar and array agree
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # strong drives by design
+def test_field_closed_form_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20171)
+    rabis = 10.0 ** rng.uniform(6.0, 9.0, 240)
+    omega_phis = TWO_PI * 10.0 ** rng.uniform(4.0, 8.0, 240)
+    with mp.workdps(40):
+        for rabi, omega_phi in zip(rabis.tolist(), omega_phis.tolist()):
+            B = resonance_solve(SpinConfig(B=0.0), rabi, omega_phi,
+                                solve_for="field").B
+            # root of the defining relation, not of the inverted closed form
+            target = mp.mpf(omega_phi) + mp.pi * mp.mpf(rabi)
+            ref = mp.findroot(lambda b: _mp_gap(mp, b) - target, mp.mpf(B))
+            assert abs(mp.mpf(B) - ref) <= 1e-15 * ref
+
+
+def test_field_mode_B_max_edge():
+    args = (SpinConfig(B=0.0), 500e6, TWO_PI * 5e6)
+    B = resonance_solve(*args, solve_for="field").B
+    assert resonance_solve(*args, solve_for="field", B_max=B * (1 + 1e-12)).B == B
+    with pytest.raises(ResonanceUnreachableError,
+                       match=r"no field below .* T reaches omega_e - omega_d = "
+                             r"omega_phi \+ Omega_R/2 = 2\*pi\*2\.5500e\+08 Hz"):
+        resonance_solve(*args, solve_for="field", B_max=B * (1 - 1e-12))
+
+
+@pytest.mark.parametrize("solve_for", ["detuning", "field"])
+@pytest.mark.parametrize("rabi", [0.0, -500e6])
+def test_resonance_rejects_non_positive_rabi(solve_for, rabi):
+    # B = 0.1 mT would also make the detuning mode unreachable: the Rabi check comes first
+    with pytest.raises(ValueError, match="^Rabi frequency must be positive$"):
+        resonance_solve(SpinConfig(B=1e-4), rabi, TWO_PI * 5e6, solve_for=solve_for)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # large detunings by design

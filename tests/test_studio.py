@@ -95,6 +95,21 @@ def test_bad_shape_ids_rejected():
         RunConfig({"table1": {"rows": ["composite:nope"]}})
 
 
+@pytest.mark.parametrize("key", ["phi1_0_rad", "phi2_0_rad"])
+def test_start_angles_limited_to_small_angle_model(key):
+    RunConfig({"dynamics": {key: -math.pi / 2}})
+    for bad in (2.0, -1.6, float("nan"), "0.1"):
+        with pytest.raises(ConfigError, match=f"dynamics.{key}"):
+            RunConfig({"dynamics": {key: bad}})
+
+
+def test_dynamics_bad_start_angle_writes_nothing(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "dynamics", config={"dynamics": {"phi1_0_rad": 2.0}})
+    assert code == 1
+    assert "dynamics.phi1_0_rad" in capsys.readouterr().err
+    assert not (out / "dynamics_trajectory.csv").exists()
+
+
 def test_config_hash_stable_under_key_order():
     a = RunConfig({"trap": {"Vac_V": 1.0, "Vdc_V": 0.0}})
     b = RunConfig({"trap": {"Vdc_V": 0.0, "Vac_V": 1.0}})
