@@ -7,12 +7,13 @@ semi-axis p and polar semi-axis s are elementary integrals in u = cos(theta),
     area = 4 pi p J0,  int x^2 dS = 2 pi p^3 (J0 - J2),  int z^2 dS = 4 pi p s^2 J2,
 
 with J0, J2 = integral over [0, 1] of (1, u^2) sqrt(s^2 + (p^2 - s^2) u^2) du.
-The production path evaluates J0 and J2 in closed form (asinh for oblate,
-asin for prolate pieces, a binomial series near unit aspect ratio) with
-Python ``math`` scalars only, so the bytes depend on the platform libm and on
-no BLAS/LAPACK build.  Gauss-Legendre quadrature with node doubling remains
-as an independent cross-check, run when a ``QuadratureSettings`` is passed.
-Mass and inertia are closed forms.
+J0 and J2 are evaluated in closed form (asinh for oblate, asin for prolate
+pieces, a binomial series near unit aspect ratio) with Python ``math``
+scalars only, so the bytes depend on the platform libm and on no BLAS/LAPACK
+build; the tests check them against independent integrals.  Each shape is
+described once, as its list of spheroid pieces: the surface sums run over
+all of them, and the mass and inertia over the pieces that carry a material,
+each a solid spheroid with semi-axes (p, p, s).
 """
 
 from __future__ import annotations
@@ -20,25 +21,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .constants import PhysicalConstants, DEFAULT_CONSTANTS
-
-_MAX_NODES = 1 << 14  # hard cap for node doubling in the quadrature cross-check
-
-
-class QuadratureError(RuntimeError):
-    """Surface quadrature failed to converge; carries the last two estimates."""
-
-    def __init__(self, message, previous=None, latest=None):
-        super().__init__(message)
-        self.previous = previous
-        self.latest = latest
 
 
 # ---------------------------------------------------------------------------
 # particle specifications
 # ---------------------------------------------------------------------------
+
+def _require_lengths(spec, *names):
+    """Reject any named length of ``spec`` that is not finite and positive."""
+    for name in names:
+        value = getattr(spec, name)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{type(spec).__name__}.{name} must be a finite "
+                             f"positive length, got {value!r}")
+
 
 @dataclass(frozen=True)
 class Sphere:
@@ -46,8 +43,7 @@ class Sphere:
     material: str = "diamond"
 
     def __post_init__(self):
-        if self.b <= 0.0:
-            raise ValueError("sphere radius must be positive")
+        _require_lengths(self, "b")
 
 
 @dataclass(frozen=True)
@@ -59,10 +55,9 @@ class ProlateEllipsoid:
     material: str = "diamond"
 
     def __post_init__(self):
-        if self.b <= 0.0 or self.a < self.b:
-            raise ValueError("prolate ellipsoid requires a >= b > 0")
-        if not math.isfinite(self.a / self.b):
-            raise ValueError("aspect ratio must be finite")
+        _require_lengths(self, "a", "b")
+        if self.a < self.b:
+            raise ValueError("prolate ellipsoid requires a >= b")
 
 
 @dataclass(frozen=True)
@@ -74,10 +69,9 @@ class OblateEllipsoid:
     material: str = "diamond"
 
     def __post_init__(self):
-        if self.b <= 0.0 or self.a < self.b:
-            raise ValueError("oblate ellipsoid requires a >= b > 0")
-        if not math.isfinite(self.a / self.b):
-            raise ValueError("aspect ratio must be finite")
+        _require_lengths(self, "a", "b")
+        if self.a < self.b:
+            raise ValueError("oblate ellipsoid requires a >= b")
 
 
 @dataclass(frozen=True)
@@ -98,8 +92,9 @@ class Composite:
     zero_mass_disk: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.c <= self.b <= self.a):
-            raise ValueError("composite requires 0 < c <= b <= a")
+        _require_lengths(self, "b", "a", "c")
+        if not (self.c <= self.b <= self.a):
+            raise ValueError("composite requires c <= b <= a")
 
 
 ParticleSpec = Sphere | ProlateEllipsoid | OblateEllipsoid | Composite
@@ -128,18 +123,6 @@ class SurfaceDensity:
 
 
 ChargeModel = TotalCharge | SurfaceDensity
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    nodes: int = 64        # Gauss-Legendre nodes per polar slice
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.nodes < 16:
-            raise ValueError("need at least 16 quadrature nodes")
-        if not (0.0 < self.rel_tol <= 1e-3):
-            raise ValueError("relative tolerance must lie in (0, 1e-3]")
 
 
 @dataclass(frozen=True)
@@ -178,27 +161,31 @@ class BodyProperties:
 
 
 # ---------------------------------------------------------------------------
-# quadrature over surfaces of revolution
+# shapes as spheroid pieces
 # ---------------------------------------------------------------------------
 
-def _spheroid_slices(p: float, s: float, u: np.ndarray):
-    """Integrand factors for a spheroid with transverse semi-axis p and polar s.
+def _pieces(spec: ParticleSpec):
+    """(p, s, material) per spheroid piece: transverse and polar semi-axes.
 
-    Returns (dA/du / (2*pi), <x^2>_phi, z^2) sampled at u = cos(theta).
+    ``material`` is None for a piece that carries surface charge but no mass.
     """
-    line = p * np.sqrt(p * p * u * u + s * s * (1.0 - u * u))
-    x2 = 0.5 * p * p * (1.0 - u * u)
-    z2 = s * s * u * u
-    return line, x2, z2
+    if isinstance(spec, Sphere):
+        return [(spec.b, spec.b, spec.material)]
+    if isinstance(spec, ProlateEllipsoid):
+        return [(spec.b, spec.a, spec.material)]
+    if isinstance(spec, OblateEllipsoid):
+        return [(spec.a, spec.b, spec.material)]
+    if isinstance(spec, Composite):
+        # union of the sphere surface and the disk surface; the small overlap
+        # region is not subtracted (thin-disk model, centers coincident)
+        disk = None if spec.zero_mass_disk else spec.disk_material
+        return [(spec.b, spec.b, spec.material), (spec.a, spec.c, disk)]
+    raise TypeError(f"unsupported particle spec {type(spec).__name__}")
 
 
-def _gauss_legendre_moments(p: float, s: float, n: int):
-    """(area, int x^2 dS, int z^2 dS) by n-node Gauss-Legendre in cos(theta)."""
-    u, w = np.polynomial.legendre.leggauss(n)
-    line, x2, z2 = _spheroid_slices(p, s, u)
-    dA = 2.0 * np.pi * line * w
-    return float(dA.sum()), float((x2 * dA).sum()), float((z2 * dA).sum())
-
+# ---------------------------------------------------------------------------
+# surface moments (closed forms)
+# ---------------------------------------------------------------------------
 
 _SERIES_MAX_T = 0.25  # |t| = |p^2 - s^2| / s^2 below which J0, J2 use the series
 
@@ -235,18 +222,12 @@ def _spheroid_integrals(p: float, s: float):
     return j0, j2
 
 
-def _spheroid_moments(p: float, s: float, nodes: int | None = None):
-    """(area, int x^2 dS, int z^2 dS) of one spheroid piece.
-
-    Closed form by default; ``nodes`` selects Gauss-Legendre quadrature instead.
-    """
-    if nodes is None:
-        j0, j2 = _spheroid_integrals(p, s)
-        area = 4.0 * math.pi * p * j0
-        ix2 = 2.0 * math.pi * p * p * p * (j0 - j2)
-        iz2 = 4.0 * math.pi * p * s * s * j2
-    else:
-        area, ix2, iz2 = _gauss_legendre_moments(p, s, nodes)
+def _spheroid_moments(p: float, s: float):
+    """(area, int x^2 dS, int z^2 dS) of one spheroid piece."""
+    j0, j2 = _spheroid_integrals(p, s)
+    area = 4.0 * math.pi * p * j0
+    ix2 = 2.0 * math.pi * p * p * p * (j0 - j2)
+    iz2 = 4.0 * math.pi * p * s * s * j2
     if p == s:
         # spherical piece: x^2+y^2+z^2 = p^2 on the surface, so the three
         # second moments are equal; enforcing it here keeps S_mu exactly zero
@@ -254,107 +235,43 @@ def _spheroid_moments(p: float, s: float, nodes: int | None = None):
     return area, ix2, iz2
 
 
-def _surface_pieces(spec: ParticleSpec):
-    """(transverse, polar) semi-axis pairs of the spheroids making up the surface."""
-    if isinstance(spec, Sphere):
-        return [(spec.b, spec.b)]
-    if isinstance(spec, ProlateEllipsoid):
-        return [(spec.b, spec.a)]
-    if isinstance(spec, OblateEllipsoid):
-        return [(spec.a, spec.b)]
-    if isinstance(spec, Composite):
-        # union of the sphere surface and the disk surface; the small overlap
-        # region is not subtracted (thin-disk model, centers coincident)
-        return [(spec.b, spec.b), (spec.a, spec.c)]
-    raise TypeError(f"unsupported particle spec {type(spec).__name__}")
-
-
-def surface_moments(spec: ParticleSpec, quad: QuadratureSettings | None = None) -> SurfaceMoments:
-    """Area and R_mu^2 of the uniformly charged surface.
-
-    Without ``quad`` the spheroid pieces are summed in closed form.  With
-    ``quad`` the same integrals are done by Gauss-Legendre quadrature, the node
-    count doubling until area and both second moments agree to the requested
-    relative tolerance between successive levels; this is the cross-check.
-    """
-    pieces = _surface_pieces(spec)
-    if quad is None:
-        # plain += on purpose: sum() compensates float rounding from Python
-        # 3.12 on, which would tie the bytes to the interpreter version
-        area = ix2 = iz2 = 0.0
-        for p, s in pieces:
-            d_area, d_ix2, d_iz2 = _spheroid_moments(p, s)
-            area += d_area
-            ix2 += d_ix2
-            iz2 += d_iz2
-        return SurfaceMoments(area=area, R_X2=ix2 / area, R_Y2=ix2 / area,
-                              R_Z2=iz2 / area)
-
-    def totals(n):
-        vals = np.zeros(3)
-        for p, s in pieces:
-            vals += _spheroid_moments(p, s, n)
-        return vals
-
-    n = quad.nodes
-    prev = totals(n)
-    while True:
-        n *= 2
-        cur = totals(n)
-        scale = np.maximum(np.abs(cur), np.abs(prev))
-        err = np.abs(cur - prev)
-        if np.all(err <= quad.rel_tol * np.maximum(scale, 1e-300)):
-            break
-        if n > _MAX_NODES:
-            raise QuadratureError(
-                f"surface quadrature did not converge below rel_tol={quad.rel_tol:g} "
-                f"within {_MAX_NODES} nodes", previous=prev, latest=cur)
-        prev = cur
-
-    area, ix2, iz2 = cur
-    return SurfaceMoments(area=area, R_X2=ix2 / area, R_Y2=ix2 / area, R_Z2=iz2 / area)
+def surface_moments(spec: ParticleSpec) -> SurfaceMoments:
+    """Area and R_mu^2 of the uniformly charged surface, summed over the pieces."""
+    # plain += on purpose: sum() compensates float rounding from Python 3.12
+    # on, which would tie the bytes to the interpreter version
+    area = ix2 = iz2 = 0.0
+    for p, s, _ in _pieces(spec):
+        d_area, d_ix2, d_iz2 = _spheroid_moments(p, s)
+        area += d_area
+        ix2 += d_ix2
+        iz2 += d_iz2
+    return SurfaceMoments(area=area, R_X2=ix2 / area, R_Y2=ix2 / area,
+                          R_Z2=iz2 / area)
 
 
 # ---------------------------------------------------------------------------
 # mass and inertia (closed forms)
 # ---------------------------------------------------------------------------
 
-def _solid_ellipsoid(rho: float, A: float, B: float, C: float):
-    """Mass and principal inertia of a solid ellipsoid with semi-axes (A, B, C)."""
-    m = rho * (4.0 / 3.0) * np.pi * A * B * C
-    I_X = m * (B * B + C * C) / 5.0
-    I_Y = m * (A * A + C * C) / 5.0
-    I_Z = m * (A * A + B * B) / 5.0
-    return m, I_X, I_Y, I_Z
-
-
 def inertia_and_mass(spec: ParticleSpec, constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """(mass, I_X, I_Y, I_Z) in SI for the given shape."""
-    if isinstance(spec, Sphere):
-        rho = constants.density(spec.material)
-        return _solid_ellipsoid(rho, spec.b, spec.b, spec.b)
-    if isinstance(spec, ProlateEllipsoid):
-        rho = constants.density(spec.material)
-        return _solid_ellipsoid(rho, spec.b, spec.b, spec.a)
-    if isinstance(spec, OblateEllipsoid):
-        rho = constants.density(spec.material)
-        return _solid_ellipsoid(rho, spec.a, spec.a, spec.b)
-    if isinstance(spec, Composite):
-        m_s, sx, sy, sz = _solid_ellipsoid(constants.density(spec.material),
-                                           spec.b, spec.b, spec.b)
-        if spec.zero_mass_disk:
-            return m_s, sx, sy, sz
-        m_d, dx, dy, dz = _solid_ellipsoid(constants.density(spec.disk_material),
-                                           spec.a, spec.a, spec.c)
-        return m_s + m_d, sx + dx, sy + dy, sz + dz
-    raise TypeError(f"unsupported particle spec {type(spec).__name__}")
+    """(mass, I_X, I_Y, I_Z) in SI: solid spheroids (p, p, s) of the massive pieces."""
+    mass = I_X = I_Y = I_Z = 0.0
+    for p, s, material in _pieces(spec):
+        if material is None:
+            continue
+        m = constants.density(material) * (4.0 / 3.0) * math.pi * p * p * s
+        transverse = m * (p * p + s * s) / 5.0
+        mass += m
+        I_X += transverse
+        I_Y += transverse
+        I_Z += m * (p * p + p * p) / 5.0
+    return mass, I_X, I_Y, I_Z
 
 
 def build_body(spec: ParticleSpec, charge: ChargeModel,
-               quad: QuadratureSettings | None = None,
                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> BodyProperties:
     """Assemble the full body record used by the trap and coupling layers."""
-    moments = surface_moments(spec, quad)
+    moments = surface_moments(spec)
     mass, I_X, I_Y, I_Z = inertia_and_mass(spec, constants)
     if isinstance(charge, TotalCharge):
         Q = charge.Q_tot
@@ -368,13 +285,13 @@ def build_body(spec: ParticleSpec, charge: ChargeModel,
 
 def prolate_spheroid_area(a: float, b: float) -> float:
     if a == b:
-        return 4.0 * np.pi * b * b
+        return 4.0 * math.pi * b * b
     e = math.sqrt(1.0 - (b / a) ** 2)
-    return 2.0 * np.pi * b * b * (1.0 + (a / (b * e)) * math.asin(e))
+    return 2.0 * math.pi * b * b * (1.0 + (a / (b * e)) * math.asin(e))
 
 
 def oblate_spheroid_area(a: float, b: float) -> float:
     if a == b:
-        return 4.0 * np.pi * b * b
+        return 4.0 * math.pi * b * b
     e = math.sqrt(1.0 - (b / a) ** 2)
-    return 2.0 * np.pi * a * a + np.pi * (b * b / e) * math.log((1.0 + e) / (1.0 - e))
+    return 2.0 * math.pi * a * a + math.pi * (b * b / e) * math.log((1.0 + e) / (1.0 - e))

@@ -22,7 +22,7 @@ from levrot.coupling import (DecoherenceBudget, dressed_coupling, rotational_mod
 from levrot.geometry import (Sphere, ProlateEllipsoid, OblateEllipsoid,
                              SurfaceDensity, TotalCharge, build_body,
                              surface_moments, prolate_spheroid_area,
-                             oblate_spheroid_area, QuadratureSettings)
+                             oblate_spheroid_area)
 from levrot.nv_spin import (SpinConfig, MicrowaveConfig, mixed_spectrum,
                             dressed_spectrum, resonance_solve, TWO_PI)
 from levrot.quantum_sim import (LindbladChannels, evolve, exchange_frequency,
@@ -201,17 +201,16 @@ def test_mathieu_cross_validation():
     assert not disagreements, disagreements
 
 
-@criterion(6, "surface quadrature against independent integrals")
+@criterion(6, "surface moments against independent integrals")
 def test_quadrature_oracle():
-    settings = QuadratureSettings(nodes=64, rel_tol=1e-10)
-    sphere = surface_moments(Sphere(1.0), settings)
+    sphere = surface_moments(Sphere(1.0))
     for r2 in (sphere.R_X2, sphere.R_Y2, sphere.R_Z2):
         assert abs(r2 - 1.0 / 3.0) <= 1e-10 / 3.0
 
-    prolate = surface_moments(ProlateEllipsoid(a=2.5, b=1.0), settings)
+    prolate = surface_moments(ProlateEllipsoid(a=2.5, b=1.0))
     assert abs(prolate.area - prolate_spheroid_area(2.5, 1.0)) \
         <= 1e-10 * prolate.area
-    oblate = surface_moments(OblateEllipsoid(a=2.5, b=1.0), settings)
+    oblate = surface_moments(OblateEllipsoid(a=2.5, b=1.0))
     assert abs(oblate.area - oblate_spheroid_area(2.5, 1.0)) \
         <= 1e-10 * oblate.area
 

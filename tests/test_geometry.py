@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from levrot import geometry
 from levrot.constants import DEFAULT_CONSTANTS
 from levrot.geometry import (Sphere, ProlateEllipsoid, OblateEllipsoid, Composite,
-                             TotalCharge, SurfaceDensity, QuadratureSettings,
-                             QuadratureError, surface_moments, inertia_and_mass,
-                             build_body, prolate_spheroid_area, oblate_spheroid_area)
+                             TotalCharge, SurfaceDensity, surface_moments,
+                             inertia_and_mass, build_body, prolate_spheroid_area,
+                             oblate_spheroid_area)
 
 E = DEFAULT_CONSTANTS.elementary_charge
 
@@ -54,7 +53,7 @@ OBLATE_SY = -1.393424650549036
 
 
 def test_sphere_moments_are_exact():
-    m = surface_moments(Sphere(1.0), QuadratureSettings(nodes=64))
+    m = surface_moments(Sphere(1.0))
     assert m.R_X2 == pytest.approx(1.0 / 3.0, rel=1e-10)
     assert m.R_Z2 == pytest.approx(1.0 / 3.0, rel=1e-10)
     assert m.S_X == 0.0
@@ -104,24 +103,6 @@ def test_leverage_vanishes_continuously_at_unit_aspect():
     assert 0.0 < s_near < s_far
 
 
-def test_node_doubling_stability():
-    coarse = surface_moments(ProlateEllipsoid(a=2.5, b=1.0),
-                             QuadratureSettings(nodes=64, rel_tol=1e-10))
-    fine = surface_moments(ProlateEllipsoid(a=2.5, b=1.0),
-                           QuadratureSettings(nodes=128, rel_tol=1e-10))
-    for attr in ("area", "R_X2", "R_Z2"):
-        assert getattr(coarse, attr) == pytest.approx(getattr(fine, attr), rel=1e-10)
-
-
-def test_quadrature_failure_carries_estimates(monkeypatch):
-    monkeypatch.setattr(geometry, "_MAX_NODES", 16)
-    with pytest.raises(QuadratureError) as err:
-        surface_moments(ProlateEllipsoid(a=2.5, b=1.0),
-                        QuadratureSettings(nodes=16, rel_tol=1e-12))
-    assert err.value.previous is not None
-    assert err.value.latest is not None
-
-
 def _mpmath_moments(mp, p, s):
     """(area, int x^2 dS, int z^2 dS) of a spheroid piece by mpmath quadrature in u.
 
@@ -158,14 +139,55 @@ def test_closed_form_matches_high_precision_quadrature(p_over_s):
             assert abs(mp.mpf(value) - ref) <= 1e-15 * abs(ref)
 
 
-@pytest.mark.parametrize("spec", [ProlateEllipsoid(a=2.5, b=1.0),
-                                  OblateEllipsoid(a=2.5, b=1.0),
-                                  Composite(b=1.0, a=2.5, c=0.125)])
+# theta-integral oracle and semi-axes of each spheroid piece of the surface
+ORACLE_PIECES = {
+    ProlateEllipsoid(a=2.5, b=1.0): [(prolate_oracle, 2.5, 1.0)],
+    OblateEllipsoid(a=2.5, b=1.0): [(oblate_oracle, 2.5, 1.0)],
+    # sphere of radius 1 plus a disk (oblate 2.5, 2.5, 0.125), surfaces added
+    Composite(b=1.0, a=2.5, c=0.125): [(prolate_oracle, 1.0, 1.0),
+                                       (oblate_oracle, 2.5, 0.125)],
+}
+
+
+@pytest.mark.parametrize("spec", list(ORACLE_PIECES))
 def test_quadrature_cross_check_agrees_with_closed_form(spec):
-    quad_moments = surface_moments(spec, QuadratureSettings(nodes=64, rel_tol=1e-10))
+    pieces = [oracle(a, b) for oracle, a, b in ORACLE_PIECES[spec]]
+    area = sum(da for da, _, _ in pieces)
+    rz2 = sum(da * z2 for da, z2, _ in pieces) / area
+    rx2 = sum(da * x2 for da, _, x2 in pieces) / area
     closed = surface_moments(spec)
-    for attr in ("area", "R_X2", "R_Z2"):
-        assert getattr(quad_moments, attr) == pytest.approx(getattr(closed, attr), rel=1e-10)
+    assert closed.area == pytest.approx(area, rel=1e-10)
+    assert closed.R_X2 == pytest.approx(rx2, rel=1e-10)
+    assert closed.R_Z2 == pytest.approx(rz2, rel=1e-10)
+
+
+# inertia_and_mass output at these specs, pinned bit for bit: the arithmetic
+# calls no libm function, so the floats are the same on every platform
+PINNED_INERTIA = [
+    (Sphere(20e-9),
+     (1.177887805585933e-19, 1.8846204889374928e-35, 1.8846204889374928e-35,
+      1.8846204889374928e-35)),
+    (ProlateEllipsoid(a=50e-9, b=20e-9),
+     (2.944719513964832e-19, 1.7079373180996028e-34, 1.7079373180996028e-34,
+      4.711551222343732e-35)),
+    (OblateEllipsoid(a=50e-9, b=20e-9),
+     (7.36179878491208e-19, 4.269843295249006e-34, 4.269843295249006e-34,
+      7.36179878491208e-34)),
+    (Composite(b=80e-9, a=200e-9, c=10e-9),
+     (1.1224617335961993e-17, 4.8861319556020345e-32, 4.8861319556020345e-32,
+      7.827667989011228e-32)),
+    (Composite(b=80e-9, a=200e-9, c=5e-9, zero_mass_disk=True),
+     (7.53848195574997e-18, 1.9298513806719926e-32, 1.9298513806719926e-32,
+      1.9298513806719926e-32)),
+    (Composite(b=80e-9, a=200e-9, c=10e-9, disk_material="diamond"),
+     (1.3427920983679636e-17, 6.653181481071583e-32, 6.653181481071583e-32,
+      1.1352953825359454e-31)),
+]
+
+
+@pytest.mark.parametrize("spec,expected", PINNED_INERTIA)
+def test_inertia_and_mass_pinned(spec, expected):
+    assert inertia_and_mass(spec) == expected
 
 
 def test_sphere_inertia_closed_form():
@@ -247,11 +269,24 @@ def test_inertia_triangle_inequalities():
     lambda: Composite(b=1.0, a=2.0, c=1.5),
     lambda: TotalCharge(0.0),
     lambda: SurfaceDensity(0.0),
-    lambda: QuadratureSettings(nodes=8),
-    lambda: QuadratureSettings(rel_tol=1e-2),
+    lambda: Sphere(math.nan),
+    lambda: Sphere(math.inf),
+    lambda: Composite(b=1.0, a=math.inf, c=0.1),
+    lambda: ProlateEllipsoid(a=math.inf, b=1.0),
+    lambda: OblateEllipsoid(a=math.nan, b=1.0),
 ])
 def test_invalid_inputs_rejected(bad):
     with pytest.raises(ValueError):
+        bad()
+
+
+@pytest.mark.parametrize("bad,field", [
+    (lambda: Sphere(math.nan), "Sphere.b"),
+    (lambda: Composite(b=1.0, a=math.inf, c=0.1), "Composite.a"),
+    (lambda: ProlateEllipsoid(a=2.0, b=-1.0), "ProlateEllipsoid.b"),
+])
+def test_bad_length_error_names_the_field(bad, field):
+    with pytest.raises(ValueError, match=field):
         bad()
 
 

@@ -110,6 +110,15 @@ def test_dynamics_bad_start_angle_writes_nothing(tmp_path, capsys):
     assert not (out / "dynamics_trajectory.csv").exists()
 
 
+def test_non_finite_particle_length_writes_nothing(tmp_path, capsys):
+    # json accepts NaN, so a config can carry one; it must not become NaN rates
+    config = {"particle": {"shape": "sphere", "b_m": float("nan")}}
+    code, out = run_cli(tmp_path, "coupling", config=config)
+    assert code == 1
+    assert "Sphere.b" in capsys.readouterr().err
+    assert not (out / "coupling.csv").exists()
+
+
 def test_config_hash_stable_under_key_order():
     a = RunConfig({"trap": {"Vac_V": 1.0, "Vdc_V": 0.0}})
     b = RunConfig({"trap": {"Vdc_V": 0.0, "Vac_V": 1.0}})
