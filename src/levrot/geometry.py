@@ -28,13 +28,19 @@ from .constants import PhysicalConstants, DEFAULT_CONSTANTS
 # particle specifications
 # ---------------------------------------------------------------------------
 
+# The highest power of a length the closed forms form is rho * L^5, in the
+# inertia; across this range it stays a normal double, with margin.
+_LENGTH_RANGE = (1e-50, 1e50)  # m
+
+
 def _require_lengths(spec, *names):
-    """Reject any named length of ``spec`` that is not finite and positive."""
+    """Reject any named length of ``spec`` outside _LENGTH_RANGE (NaN included)."""
+    low, high = _LENGTH_RANGE
     for name in names:
         value = getattr(spec, name)
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{type(spec).__name__}.{name} must be a finite "
-                             f"positive length, got {value!r}")
+        if not low <= value <= high:
+            raise ValueError(f"{type(spec).__name__}.{name} must be a length in "
+                             f"[{low:g}, {high:g}] m, got {value!r}")
 
 
 @dataclass(frozen=True)

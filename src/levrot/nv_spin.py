@@ -39,8 +39,8 @@ class ResonanceUnreachableError(ValueError):
 @dataclass(frozen=True)
 class SpinConfig:
     B: float                      # transverse field along lab x, T
-    D: float = 2.87e9             # zero-field splitting, Hz
-    gamma: float = 28.024e9       # gyromagnetic ratio, Hz/T
+    D: float = DEFAULT_CONSTANTS.zero_field_splitting_D  # zero-field splitting, Hz
+    gamma: float = DEFAULT_CONSTANTS.gamma_nv  # gyromagnetic ratio, Hz/T
 
     def __post_init__(self):
         if self.B < 0.0:

@@ -1,9 +1,12 @@
-"""Run configuration: a single JSON document, strictly validated.
+"""Run configuration: a single JSON document, declared once.
 
-Unknown keys are rejected with their path; every dimensioned field name
-carries an explicit unit suffix (b_m, Vac_V, OmegaR_Hz, ...).  The reference
-configuration in DEFAULT_CONFIG describes the 20 nm prolate scenario and is
-used whenever no --config is given.
+DEFAULT_CONFIG holds the defaults (the 20 nm prolate scenario), and each key
+takes its default's JSON type.  The tables below it add what a default cannot
+say: allowed strings, inclusive bounds, the shape-id grammar and the keys of
+the sections a document replaces wholesale.  RunConfig checks a document
+against the schema built from both, naming the dotted key in any error, and
+write_schema publishes it as docs/config_schema.json.  Field names carry unit
+suffixes (b_m, Vac_V, OmegaR_Hz, ...).
 """
 
 from __future__ import annotations
@@ -12,11 +15,14 @@ import copy
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
-from ..constants import PhysicalConstants
+from ..constants import DEFAULT_CONSTANTS, PhysicalConstants
 from ..geometry import (Sphere, ProlateEllipsoid, OblateEllipsoid, Composite,
                         TotalCharge, SurfaceDensity)
+from ..quantum_sim import SPIN_LABELS
+from ..rotor_dynamics import ANGLE_LIMIT, MIN_SPECTRAL_SAMPLES
 from ..trap import TrapConfig
 
 TWO_PI = 2.0 * math.pi
@@ -27,7 +33,6 @@ class ConfigError(ValueError):
 
 
 DEFAULT_CONFIG = {
-    "seed": 0,
     "constants": {},
     "particle": {"shape": "prolate", "b_m": 2.0e-8, "a_m": 5.0e-8},
     "charge": {"mode": "total", "Qtot_e": 366.0},
@@ -93,46 +98,131 @@ _CONSTANT_KEYS = {
     "density_silica_kg_m3": "density_silica",
 }
 
+_COMPOSITE_OPTIONS = {"disk_material": "silica", "zero_mass_disk": False}
 
-def _check_keys(section: dict, allowed, path: str):
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in '{path}'")
+# Sections that a document replaces wholesale.  The discriminator's value
+# picks a variant: the keys it requires, whose values only fix their type,
+# and the optional keys it allows, whose values are their defaults.
+_VARIANTS = {
+    "particle": ("shape", {
+        "sphere": ({"b_m": 0.0}, {}),
+        "prolate": ({"b_m": 0.0, "a_m": 0.0}, {}),
+        "oblate": ({"b_m": 0.0, "a_m": 0.0}, {}),
+        "composite": ({"b_m": 0.0, "a_m": 0.0, "c_m": 0.0}, _COMPOSITE_OPTIONS),
+    }),
+    "charge": ("mode", {"total": ({"Qtot_e": 0.0}, {}),
+                        "surface_density": ({"sigma_C_m2": 0.0}, {})}),
+}
+
+# 'sphere' | 'prolate' | 'oblate' | 'composite:<c/b>' | 'zero_mass_disk:<c/b>',
+# with c/b a decimal in (0, 1]: 1, a fraction, or either with a negative exponent
+_FRACTION = r"\.[0-9]*[1-9][0-9]*"
+_SHAPE_ID = {"pattern": r"^(sphere|prolate|oblate|(composite|zero_mass_disk):"
+                        rf"0*(1(\.0*)?|{_FRACTION}|"
+                        rf"([1-9](\.[0-9]*)?|{_FRACTION})[eE]-0*[1-9][0-9]*))$"}
+_COUNT = {"minimum": 1}
+_ANGLE = {"minimum": -ANGLE_LIMIT, "maximum": ANGLE_LIMIT}  # small-angle rotor model
+
+# per-key schema keywords; a list's items are keyed '<list>[]', bounds are inclusive
+_DECLARED = {
+    "dynamics.model": {"enum": ["linear", "nonlinear"]},
+    "resonance.solve_for": {"enum": ["field", "detuning"]},
+    "jc_sim.kind": {"enum": ["jaynes_cummings", "full_rabi"]},
+    "jc_sim.initial_spin": {"enum": list(SPIN_LABELS)},
+    "particle.disk_material": {"enum": ["silica", "diamond"]},
+    "fig2_map.n_B": _COUNT, "fig2_map.n_psi": _COUNT, "fig4_curves.n_OmegaR": _COUNT,
+    "stability_chart.n_a": _COUNT, "stability_chart.n_q": _COUNT,
+    # the dynamics verb extracts a spectral line; evolve needs a time grid
+    "dynamics.samples": {"minimum": MIN_SPECTRAL_SAMPLES},
+    "jc_sim.samples": {"minimum": 2},
+    "dynamics.phi1_0_rad": _ANGLE, "dynamics.phi2_0_rad": _ANGLE,
+    "table1.rows[]": _SHAPE_ID, "fig4_curves.families[].shapes[]": _SHAPE_ID,
+}
+
+# bool before int: a boolean is an int to isinstance
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
+               list: "array", dict: "object"}
 
 
-# sections whose key sets depend on a mode discriminator are replaced
-# wholesale and validated on their own; everything else merges key by key
-_REPLACE_SECTIONS = {"constants", "particle", "charge"}
+def _schema(value, key: str = "", default: bool = True) -> dict:
+    """Schema of one key; list items carry no defaults and need all their keys."""
+    if key in _VARIANTS:
+        field, variants = _VARIANTS[key]
+        branches = [{"type": "object", "additionalProperties": False,
+                     "required": [field, *need],
+                     "properties": {field: {"type": "string", "enum": [name]},
+                                    **{k: _schema(v, f"{key}.{k}", k in allow)
+                                       for k, v in {**need, **allow}.items()}}}
+                    for name, (need, allow) in variants.items()]
+        return {"type": "object", "default": value, "oneOf": branches}
+    if key == "constants":
+        value = {k: getattr(DEFAULT_CONSTANTS, a) for k, a in _CONSTANT_KEYS.items()}
+    node = {"type": _JSON_TYPES[type(value)], **_DECLARED.get(key, {})}
+    if isinstance(value, dict):
+        node["additionalProperties"] = False
+        node["properties"] = {k: _schema(v, f"{key}.{k}" if key else k, default)
+                              for k, v in value.items()}
+        if not default:
+            node["required"] = list(value)
+        return node
+    if default:
+        node["default"] = value
+    if isinstance(value, list):
+        node["items"] = _schema(value[0], key + "[]", False)
+    return node
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    """Recursive merge of an override document onto the defaults.
+_SCHEMA = _schema(DEFAULT_CONFIG)
 
-    Only keys present in the defaults are accepted; lists and the
-    mode-discriminated sections are replaced wholesale.
-    """
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        here = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown key '{here}'")
-        if isinstance(base[key], dict) and here not in _REPLACE_SECTIONS:
-            if not isinstance(value, dict):
-                raise ConfigError(f"'{here}' must be an object")
-            out[key] = _merge(base[key], value, here)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
+
+def _check(value, node: dict, path: str = ""):
+    """Raise a ConfigError naming the dotted key where value breaks node."""
+    kind = node["type"]
+    got = next((name for t, name in _JSON_TYPES.items() if isinstance(value, t)), None)
+    if got != kind and (kind, got) != ("number", "integer"):
+        raise ConfigError(f"{path or 'configuration'} must be a JSON {kind}, "
+                          f"got {value!r}")
+    if "enum" in node and value not in node["enum"]:
+        raise ConfigError(f"{path} must be one of {node['enum']}, got {value!r}")
+    if "minimum" in node and not value >= node["minimum"]:
+        raise ConfigError(f"{path} must be >= {node['minimum']}, got {value!r}")
+    if "maximum" in node and not value <= node["maximum"]:
+        raise ConfigError(f"{path} must be <= {node['maximum']}, got {value!r}")
+    if "pattern" in node and not re.fullmatch(node["pattern"], value):
+        raise ConfigError(f"{path} must be a shape id with 0 < c/b <= 1, got {value!r}")
+    if "oneOf" in node:
+        field, variants = _VARIANTS[path]
+        _check(value.get(field), {"type": "string", "enum": list(variants)},
+               f"{path}.{field}")
+        node = node["oneOf"][list(variants).index(value[field])]
+    if kind == "object":
+        for key in node.get("required", ()):
+            if key not in value:
+                raise ConfigError(f"missing key '{path}.{key}'")
+        for key, item in value.items():
+            here = f"{path}.{key}" if path else key
+            if key not in node["properties"]:
+                raise ConfigError(f"unknown key '{here}'")
+            _check(item, node["properties"][key], here)
+    elif kind == "array":
+        for i, item in enumerate(value):
+            _check(item, node["items"], f"{path}[{i}]")
+
+
+def _merge(document: dict) -> dict:
+    """The defaults with each section merged in, or replaced if it has variants."""
+    merged = copy.deepcopy(DEFAULT_CONFIG)
+    for name, section in copy.deepcopy(document).items():
+        merged[name] = section if name in _VARIANTS else {**merged[name], **section}
+    return merged
 
 
 class RunConfig:
     """Validated configuration document plus typed accessors."""
 
     def __init__(self, document: dict):
-        if not isinstance(document, dict):
-            raise ConfigError("configuration must be a JSON object")
-        self.document = _merge(DEFAULT_CONFIG, document)
-        self._validate()
+        _check(document, _SCHEMA)
+        self.document = _merge(document)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -143,90 +233,26 @@ class RunConfig:
     def default(cls) -> "RunConfig":
         return cls({})
 
-    # -- validation -------------------------------------------------------
-
-    def _validate(self):
-        doc = self.document
-        _check_keys(doc["constants"], _CONSTANT_KEYS, "constants")
-        particle = doc["particle"]
-        shape = particle.get("shape")
-        if shape not in ("sphere", "prolate", "oblate", "composite"):
-            raise ConfigError(f"unknown particle shape {shape!r}")
-        allowed, required = {"shape", "b_m"}, {"shape", "b_m"}
-        if shape in ("prolate", "oblate"):
-            allowed |= {"a_m"}
-            required |= {"a_m"}
-        if shape == "composite":
-            allowed |= {"a_m", "c_m", "disk_material", "zero_mass_disk"}
-            required |= {"a_m", "c_m"}
-        _check_keys(particle, allowed, "particle")
-        missing = required - set(particle)
-        if missing:
-            raise ConfigError(f"particle is missing key(s) {sorted(missing)}")
-        charge = doc["charge"]
-        if charge.get("mode") == "total":
-            _check_keys(charge, {"mode", "Qtot_e"}, "charge")
-            if "Qtot_e" not in charge:
-                raise ConfigError("charge mode 'total' needs Qtot_e")
-        elif charge.get("mode") == "surface_density":
-            _check_keys(charge, {"mode", "sigma_C_m2"}, "charge")
-            if "sigma_C_m2" not in charge:
-                raise ConfigError("charge mode 'surface_density' needs sigma_C_m2")
-        else:
-            raise ConfigError("charge.mode must be 'total' or 'surface_density'")
-        for row in doc["table1"]["rows"]:
-            self._parse_shape_id(row)  # raises on malformed ids
-        for fam in doc["fig4_curves"]["families"]:
-            _check_keys(fam, {"label", "b_m", "aspect_ratio", "omega_phi_Hz",
-                              "shapes"}, "fig4_curves.families[]")
-            for sid in fam["shapes"]:
-                self._parse_shape_id(sid)
-        for key in ("phi1_0_rad", "phi2_0_rad"):
-            angle = doc["dynamics"][key]
-            if not isinstance(angle, (int, float)) or not abs(angle) <= math.pi / 2:
-                raise ConfigError(f"dynamics.{key} must be a number in [-pi/2, pi/2] "
-                                  "(the small-angle rotor model)")
-        if doc["resonance"]["solve_for"] not in ("field", "detuning"):
-            raise ConfigError("resonance.solve_for must be 'field' or 'detuning'")
-        if doc["jc_sim"]["kind"] not in ("jaynes_cummings", "full_rabi"):
-            raise ConfigError("jc_sim.kind must be 'jaynes_cummings' or 'full_rabi'")
-
-    @staticmethod
-    def _parse_shape_id(shape_id: str):
-        """'sphere' | 'prolate' | 'oblate' | 'composite:<c/b>' | 'zero_mass_disk:<c/b>'."""
-        head, _, tail = shape_id.partition(":")
-        if head in ("sphere", "prolate", "oblate") and not tail:
-            return head, None
-        if head in ("composite", "zero_mass_disk"):
-            try:
-                cb = float(tail)
-            except ValueError:
-                raise ConfigError(f"malformed shape id {shape_id!r}") from None
-            if not 0.0 < cb <= 1.0:
-                raise ConfigError(f"c/b ratio out of range in {shape_id!r}")
-            return head, cb
-        raise ConfigError(f"unknown shape id {shape_id!r}")
-
     # -- typed accessors --------------------------------------------------
 
     def constants(self) -> PhysicalConstants:
-        overrides = {_CONSTANT_KEYS[k]: v for k, v in self.document["constants"].items()}
-        return PhysicalConstants(**{**PhysicalConstants().__dict__, **overrides})
+        return DEFAULT_CONSTANTS.with_overrides(
+            **{_CONSTANT_KEYS[k]: v for k, v in self.document["constants"].items()})
 
     def particle_spec(self):
-        p = self.document["particle"]
+        p = {**_COMPOSITE_OPTIONS, **self.document["particle"]}
         return self.shape_spec(p["shape"] if p["shape"] != "composite"
                                else f"composite:{p['c_m'] / p['b_m']}",
                                b=p["b_m"],
                                a=p.get("a_m"),
-                               disk_material=p.get("disk_material", "silica"),
-                               zero_mass=p.get("zero_mass_disk", False))
+                               disk_material=p["disk_material"],
+                               zero_mass=p["zero_mass_disk"])
 
     def shape_spec(self, shape_id: str, b: float, a: float | None = None,
                    aspect_ratio: float = 2.5, disk_material: str = "silica",
                    zero_mass: bool = False):
         """Build a particle spec from a shape id and the minimum radius b."""
-        head, cb = self._parse_shape_id(shape_id)
+        head, _, cb = shape_id.partition(":")
         if a is None:
             a = aspect_ratio * b
         if head == "sphere":
@@ -236,7 +262,7 @@ class RunConfig:
         if head == "oblate":
             return OblateEllipsoid(a=a, b=b)
         zero_mass = zero_mass or head == "zero_mass_disk"
-        return Composite(b=b, a=a, c=cb * b, disk_material=disk_material,
+        return Composite(b=b, a=a, c=float(cb) * b, disk_material=disk_material,
                          zero_mass_disk=zero_mass)
 
     def charge_model(self, constants: PhysicalConstants):
@@ -258,26 +284,10 @@ class RunConfig:
 
 
 def write_schema(path: Path):
-    """Emit a JSON-schema-style description of the accepted document."""
-
-    def describe(node):
-        if isinstance(node, dict):
-            return {"type": "object",
-                    "additionalProperties": False,
-                    "properties": {k: describe(v) for k, v in node.items()}}
-        if isinstance(node, list):
-            item = describe(node[0]) if node else {}
-            return {"type": "array", "items": item}
-        if isinstance(node, bool):
-            return {"type": "boolean", "default": node}
-        if isinstance(node, (int, float)):
-            return {"type": "number", "default": node}
-        return {"type": "string", "default": node}
-
-    schema = describe(DEFAULT_CONFIG)
-    schema["$comment"] = ("All dimensioned field names carry unit suffixes; "
-                          "'constants' accepts overrides: "
-                          + ", ".join(sorted(_CONSTANT_KEYS)))
+    """Write the draft-4 JSON schema that a run configuration is checked against."""
+    schema = {"$schema": "http://json-schema.org/draft-04/schema#",
+              "description": "levrot run configuration; omitted keys take their defaults",
+              **_SCHEMA}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(schema, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .constants import DEFAULT_CONSTANTS
 from .geometry import BodyProperties
 
 
@@ -209,7 +210,7 @@ def stability_boundary_q(a: float = 0.0, q_lo: float = 0.5, q_hi: float = 1.5,
 # ---------------------------------------------------------------------------
 
 def thermal_angle(body: BodyProperties, omega_phi: float, temperature: float,
-                  k_B: float = 1.380649e-23) -> ThermalState:
+                  k_B: float = DEFAULT_CONSTANTS.k_B) -> ThermalState:
     """Equipartition rms angle sqrt(k_B T / (I_Y omega_phi^2))."""
     if omega_phi <= 0.0:
         raise ValueError("rotational frequency must be positive")
@@ -219,8 +220,9 @@ def thermal_angle(body: BodyProperties, omega_phi: float, temperature: float,
     return ThermalState(temperature=temperature, rms_angle=rms)
 
 
-def charge_budget(body: BodyProperties, trap: TrapConfig, omega_phi: float,
-                  ratio: float, elementary_charge: float = 1.602176634e-19) -> ChargeBudget:
+def charge_budget(body: BodyProperties, trap: TrapConfig, omega_phi: float, ratio: float,
+                  elementary_charge: float = DEFAULT_CONSTANTS.elementary_charge
+                  ) -> ChargeBudget:
     """Total surface charge needed so the axial secular mode sits at omega_phi/ratio.
 
     Inverts omega_z = eta |Q| V_ac / (sqrt(2) m Omega z0^2); the count is the

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -274,6 +275,9 @@ def test_inertia_triangle_inequalities():
     lambda: Composite(b=1.0, a=math.inf, c=0.1),
     lambda: ProlateEllipsoid(a=math.inf, b=1.0),
     lambda: OblateEllipsoid(a=math.nan, b=1.0),
+    lambda: Sphere(1e200),
+    lambda: Sphere(1e-200),
+    lambda: ProlateEllipsoid(a=1e300, b=1e-300),
 ])
 def test_invalid_inputs_rejected(bad):
     with pytest.raises(ValueError):
@@ -288,6 +292,19 @@ def test_invalid_inputs_rejected(bad):
 def test_bad_length_error_names_the_field(bad, field):
     with pytest.raises(ValueError, match=field):
         bad()
+
+
+@pytest.mark.parametrize("spec", [
+    Sphere(1e-50), Sphere(1e50),
+    ProlateEllipsoid(a=1e50, b=1e-50), OblateEllipsoid(a=1e50, b=1e-50),
+    Composite(b=1e-50, a=1e50, c=1e-50), Composite(b=1e50, a=1e50, c=1e-50),
+])
+def test_lengths_at_the_range_ends_give_normal_bodies(spec):
+    body = build_body(spec, SurfaceDensity(1e-6), constants=DEFAULT_CONSTANTS)
+    s = body.surface
+    for value in (body.mass, body.I_X, body.I_Y, body.I_Z, body.Q, s.area, s.R_X2, s.R_Z2):
+        assert sys.float_info.min <= value < math.inf
+    assert math.isfinite(s.S_X) and math.isfinite(s.S_Y)
 
 
 def test_unknown_material_rejected():

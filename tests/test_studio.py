@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -132,6 +133,128 @@ def test_schema_export(tmp_path):
     assert schema["type"] == "object"
     assert schema["additionalProperties"] is False
     assert "trap" in schema["properties"]
+
+
+# documents that both the code and the published schema must accept, and
+# documents that both must reject, each paired with the dotted key its
+# ConfigError names
+COMPOSITE = {"shape": "composite", "b_m": 8e-8, "a_m": 2e-7, "c_m": 1e-8}
+ACCEPTED = [
+    {},
+    DEFAULT_CONFIG,
+    {"particle": COMPOSITE},
+    {"particle": {**COMPOSITE, "disk_material": "diamond", "zero_mass_disk": True}},
+    {"particle": {"shape": "sphere", "b_m": 2e-8}},
+    {"charge": {"mode": "surface_density", "sigma_C_m2": 1e-6}},
+    {"constants": {"density_diamond_kg_m3": 3500.0}},
+    {"trap": {"Vac_V": 5000}},  # an integer is a number
+    {"table1": {"rows": ["composite:1", "composite:.5", "zero_mass_disk:6.25e-2",
+                         "composite:1e-3", "composite:0.001"]}},
+]
+REJECTED = [
+    ("jc_sim.use_decoherence", {"jc_sim": {"use_decoherence": "no"}}),
+    ("dynamics.model", {"dynamics": {"model": "linaer"}}),
+    ("thermal.cases[0].T",
+     {"thermal": {"cases": [{**DEFAULT_CONFIG["thermal"]["cases"][0], "T": 4.0}]}}),
+    ("jc_sim.N_max", {"jc_sim": {"N_max": "8"}}),
+    ("dynamics.samples", {"dynamics": {"samples": 1}}),
+    ("stability_chart.n_a", {"stability_chart": {"n_a": 0}}),
+    ("fig2_map.n_B", {"fig2_map": {"n_B": 2.5}}),
+    ("trap.Vac_V", {"trap": {"Vac_V": "5000"}}),
+    ("jc_sim.initial_spin", {"jc_sim": {"initial_spin": "up"}}),
+    ("particle.zero_mass_disk", {"particle": {**COMPOSITE, "zero_mass_disk": "yes"}}),
+    ("jc_sim.N_max", {"jc_sim": {"N_max": 8.0}}),
+    ("jc_sim.use_decoherence", {"jc_sim": {"use_decoherence": 0}}),
+    ("trap", {"trap": 5}),
+    ("tarp", {"tarp": {}}),
+    ("trap.Vca_V", {"trap": {"Vca_V": 100.0}}),
+    ("particle.c_m", {"particle": {"shape": "prolate", "b_m": 1e-8, "a_m": 2e-8,
+                                   "c_m": 1e-9}}),
+    ("particle.a_m", {"particle": {"shape": "prolate", "b_m": 1e-8}}),
+    ("particle.shape", {"particle": {"shape": "cube", "b_m": 1e-8}}),
+    ("charge.mode", {"charge": {"mode": "by_vibes"}}),
+    ("charge.Qtot_e", {"charge": {"mode": "total"}}),
+    ("constants.density_diamond", {"constants": {"density_diamond": 3500.0}}),
+    ("table1.rows[0]", {"table1": {"rows": ["cube"]}}),
+    ("table1.rows[1]", {"table1": {"rows": ["sphere", "composite:nope"]}}),
+    ("table1.rows[0]", {"table1": {"rows": ["composite:1.5"]}}),
+    ("table1.rows[0]", {"table1": {"rows": ["zero_mass_disk:0.0"]}}),
+    ("table1.rows[0]", {"table1": {"rows": ["prolate:0.5"]}}),
+    ("fig4_curves.families[0].shapes",
+     {"fig4_curves": {"families": [{"label": "x", "b_m": 2e-8, "aspect_ratio": 2.5,
+                                    "omega_phi_Hz": 5e6}]}}),
+    ("fig2_map.overlay_OmegaR_Hz[1]", {"fig2_map": {"overlay_OmegaR_Hz": [1e8, None]}}),
+]
+# every inclusive bound of the declarations: (section, key, side, bound)
+BOUNDS = [
+    ("fig2_map", "n_B", "minimum", 1), ("fig2_map", "n_psi", "minimum", 1),
+    ("fig4_curves", "n_OmegaR", "minimum", 1),
+    ("stability_chart", "n_a", "minimum", 1), ("stability_chart", "n_q", "minimum", 1),
+    ("dynamics", "samples", "minimum", 1024), ("jc_sim", "samples", "minimum", 2),
+    ("dynamics", "phi1_0_rad", "minimum", -math.pi / 2),
+    ("dynamics", "phi1_0_rad", "maximum", math.pi / 2),
+    ("dynamics", "phi2_0_rad", "minimum", -math.pi / 2),
+    ("dynamics", "phi2_0_rad", "maximum", math.pi / 2),
+]
+for section, key, side, bound in BOUNDS:
+    outside = (bound + (1 if side == "maximum" else -1) if isinstance(bound, int)
+               else math.nextafter(bound, math.inf if side == "maximum" else -math.inf))
+    ACCEPTED.append({section: {key: bound}})
+    REJECTED.append((f"{section}.{key}", {section: {key: outside}}))
+
+
+@pytest.fixture(scope="module")
+def published_schema(tmp_path_factory):
+    path = tmp_path_factory.mktemp("schema") / "config_schema.json"
+    write_schema(path)
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("key, doc", [(None, doc) for doc in ACCEPTED] + REJECTED)
+def test_code_and_schema_agree(key, doc, published_schema):
+    if key is None:
+        RunConfig(doc)
+    else:
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            RunConfig(doc)
+    jsonschema = pytest.importorskip("jsonschema")
+    try:
+        jsonschema.validate(doc, published_schema)
+    except jsonschema.ValidationError:
+        assert key is not None, "the schema rejects a document the code accepts"
+    else:
+        assert key is None, "the schema accepts a document the code rejects"
+
+
+def test_every_declared_bound_is_tested(published_schema):
+    declared = {(section, key, side, leaf[side])
+                for section, node in published_schema["properties"].items()
+                for key, leaf in node.get("properties", {}).items()
+                for side in ("minimum", "maximum") if side in leaf}
+    assert declared == set(BOUNDS)
+
+
+def test_committed_schema_is_current(tmp_path):
+    path = tmp_path / "config_schema.json"
+    write_schema(path)
+    committed = Path(__file__).parents[1] / "docs" / "config_schema.json"
+    assert path.read_bytes() == committed.read_bytes()
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.Draft4Validator.check_schema(json.loads(committed.read_text()))
+
+
+@pytest.mark.parametrize("verb, config, output", [
+    ("jc-sim", {"jc_sim": {"N_max": 2, "samples": 50, "use_decoherence": "no"}},
+     "jc_populations.csv"),
+    ("dynamics", {"dynamics": {"model": "linaer"}}, "dynamics_summary.csv"),
+    ("thermal", {"thermal": {"cases": [{**DEFAULT_CONFIG["thermal"]["cases"][0], "T": 4.0}]}},
+     "thermal.csv"),
+])
+def test_rejected_config_writes_nothing(tmp_path, capsys, verb, config, output):
+    code, out = run_cli(tmp_path, verb, config=config)
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (out / output).exists()
 
 
 def test_resolve_threads_env(monkeypatch):
