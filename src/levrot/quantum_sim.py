@@ -1,9 +1,10 @@
 """Truncated dressed-spin x Fock models and Lindblad master-equation evolution.
 
-The basis is {|+>, |->, |e>} x {|0> .. |N_max>}, index = spin*(N_max+1) + n.
-Hamiltonians are stored in angular units (rad/s).  Dimensions stay small
-(3*(N_max+1) <= a few tens), so dense propagation through the exponential of
-the Liouvillian is exact and fast.
+A model is its Hamiltonian (rad/s), built from the three dressed levels and
+omega_phi on the basis {|+>, |->, |e>} x {|0> .. |N_max>} that
+QuantumModel.index lays out.  Dimensions stay small (3*(N_max+1) <= a few
+tens), so propagation is exact: evolve checks and measures each state of one
+sequence, from eigenbasis phases when unitary or exp(L dt) steps otherwise.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from scipy.linalg import expm
 from scipy.optimize import curve_fit, OptimizeWarning
 
 from .coupling import DecoherenceBudget
-from .nv_spin import DressedSpectrum, TWO_PI
-from .coupling import RotationalMode
+from .nv_spin import TWO_PI
 
 SPIN_LABELS = ("plus", "minus", "e")
 PLUS, MINUS, EXCITED = 0, 1, 2
+CHECK_TOL = 1e-9  # trace, hermiticity (x10) and positivity tolerance per sample
 
 
 class NoOscillationError(RuntimeError):
@@ -31,13 +32,7 @@ class NoOscillationError(RuntimeError):
 @dataclass(frozen=True)
 class QuantumModel:
     H: np.ndarray            # (dim, dim) complex, rad/s
-    kind: str                # "full_rabi" or "jaynes_cummings"
     N_max: int
-    lambda_tilde: float      # Hz
-    omega_phi: float         # rad/s
-    omega_plus: float        # rad/s
-    omega_minus: float       # rad/s
-    omega_e_prime: float     # rad/s
 
     @property
     def dim(self) -> int:
@@ -49,6 +44,10 @@ class QuantumModel:
         if not 0 <= n <= self.N_max:
             raise ValueError(f"phonon number {n} outside [0, {self.N_max}]")
         return spin * (self.N_max + 1) + n
+
+    def block(self, spin) -> slice:
+        """Indices of the Fock ladder |spin, 0> .. |spin, N_max>."""
+        return slice(self.index(spin, 0), self.index(spin, self.N_max) + 1)
 
     def basis_state(self, spin, n: int) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
@@ -68,10 +67,12 @@ def _destroy(nf: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, nf, dtype=float)), k=1)
 
 
-def build_model(dressed: DressedSpectrum, mode: RotationalMode, lambda_tilde: float,
+def build_model(levels, omega_phi: float, lambda_tilde: float,
                 N_max: int = 8, kind: str = "jaynes_cummings") -> QuantumModel:
     """Assemble the truncated Hamiltonian.
 
+    levels are the dressed energies (omega_+, omega_-, omega_e') and omega_phi
+    the rotational frequency, all in rad/s; lambda_tilde is in Hz.
     full_rabi keeps the complete (a + a^dag)(|e><+| + h.c.) coupling;
     jaynes_cummings keeps only the excitation-conserving half.  |-> stays in
     the basis but is never coupled.
@@ -84,9 +85,7 @@ def build_model(dressed: DressedSpectrum, mode: RotationalMode, lambda_tilde: fl
     nf = N_max + 1
     a = _destroy(nf)
     n_op = a.T @ a
-    spin_diag = np.diag([dressed.omega_plus, dressed.omega_minus,
-                         dressed.omega_e_prime])
-    H = np.kron(spin_diag, np.eye(nf)) + mode.omega_phi * np.kron(np.eye(3), n_op)
+    H = np.kron(np.diag(levels), np.eye(nf)) + omega_phi * np.kron(np.eye(3), n_op)
     H = H.astype(complex)
 
     e_from_plus = np.zeros((3, 3))
@@ -98,10 +97,7 @@ def build_model(dressed: DressedSpectrum, mode: RotationalMode, lambda_tilde: fl
         H += g * (np.kron(e_from_plus, a) + np.kron(e_from_plus.T, a.T))
 
     assert np.max(np.abs(H - H.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(H)))
-    return QuantumModel(H=H, kind=kind, N_max=N_max, lambda_tilde=lambda_tilde,
-                        omega_phi=mode.omega_phi, omega_plus=dressed.omega_plus,
-                        omega_minus=dressed.omega_minus,
-                        omega_e_prime=dressed.omega_e_prime)
+    return QuantumModel(H=H, N_max=N_max)
 
 
 def resonant_model(lambda_tilde: float, omega_phi: float, N_max: int = 8,
@@ -111,11 +107,8 @@ def resonant_model(lambda_tilde: float, omega_phi: float, N_max: int = 8,
     Shortcut used by tests and demos when only the ladder dynamics matter.
     """
     w = splitting if splitting is not None else 100.0 * omega_phi
-    dressed = DressedSpectrum(psi=math.pi / 4, omega_plus=0.5 * w, omega_minus=-0.5 * w,
-                              omega_e_prime=0.5 * w + omega_phi, detuning=0.0,
-                              rabi_angular=w, vectors=np.eye(3, dtype=complex))
-    mode = RotationalMode(omega_phi=omega_phi, I_y=math.nan, phi0=math.nan, L0=math.nan)
-    return build_model(dressed, mode, lambda_tilde, N_max=N_max, kind=kind)
+    return build_model((0.5 * w, -0.5 * w, 0.5 * w + omega_phi), omega_phi,
+                       lambda_tilde, N_max=N_max, kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +136,15 @@ class LindbladChannels:
 
 
 def _jump_operators(model: QuantumModel, ch: LindbladChannels):
+    """sqrt(rate) * J for every channel with a positive rate."""
     nf = model.N_max + 1
-    ops = []
-    if ch.spin_relaxation_rate > 0.0:
-        sm = np.zeros((3, 3))
-        sm[PLUS, EXCITED] = 1.0
-        ops.append(math.sqrt(ch.spin_relaxation_rate) * np.kron(sm, np.eye(nf)))
-    if ch.pure_dephasing_rate > 0.0:
-        sz = np.zeros((3, 3))
-        sz[EXCITED, EXCITED] = 1.0
-        sz[PLUS, PLUS] = -1.0
-        ops.append(math.sqrt(0.5 * ch.pure_dephasing_rate) * np.kron(sz, np.eye(nf)))
-    if ch.phonon_decoherence_rate > 0.0:
-        ops.append(math.sqrt(ch.phonon_decoherence_rate)
-                   * np.kron(np.eye(3), _destroy(nf)))
-    return ops
+    lower = np.zeros((3, 3))
+    lower[PLUS, EXCITED] = 1.0
+    sz = np.diag([-1.0, 0.0, 1.0])  # |e><e| - |+><+|
+    table = ((ch.spin_relaxation_rate, np.kron(lower, np.eye(nf))),
+             (0.5 * ch.pure_dephasing_rate, np.kron(sz, np.eye(nf))),
+             (ch.phonon_decoherence_rate, np.kron(np.eye(3), _destroy(nf))))
+    return [math.sqrt(rate) * J for rate, J in table if rate > 0.0]
 
 
 def _liouvillian(model: QuantumModel, ch: LindbladChannels) -> np.ndarray:
@@ -181,13 +168,9 @@ class EvolutionResult:
     energy: np.ndarray         # (nt,), tr(H rho) in rad/s
     coherence_pe: np.ndarray   # (nt,) complex, sum_n <+,n|rho|e,n>
     model: QuantumModel = field(repr=False, default=None)
-    states: np.ndarray | None = field(repr=False, default=None)  # (nt, dim, dim)
 
     def spin_population(self, spin) -> np.ndarray:
-        if isinstance(spin, str):
-            spin = SPIN_LABELS.index(spin)
-        nf = self.model.N_max + 1
-        return self.populations[:, spin * nf:(spin + 1) * nf].sum(axis=1)
+        return self.populations[:, self.model.block(spin)].sum(axis=1)
 
     def level_population(self, spin, n: int) -> np.ndarray:
         return self.populations[:, self.model.index(spin, n)]
@@ -213,9 +196,28 @@ def _as_density_matrix(state: np.ndarray, dim: int) -> np.ndarray:
     return state.copy()
 
 
+def _states(model: QuantumModel, rho0: np.ndarray, times: np.ndarray,
+            channels: LindbladChannels):
+    """Density matrix at each time: exact eigenbasis phases when the run is
+    unitary, repeated products with exp(L dt) when it is dissipative."""
+    if not any((channels.spin_relaxation_rate, channels.pure_dephasing_rate,
+                channels.phonon_decoherence_rate)):
+        evals, V = np.linalg.eigh(model.H)
+        rho_eig = V.conj().T @ rho0 @ V
+        gaps = evals[:, None] - evals[None, :]
+        for t in times:
+            yield V @ (np.exp(-1j * gaps * t) * rho_eig) @ V.conj().T
+        return
+    P = expm(_liouvillian(model, channels) * (times[1] - times[0]))
+    rho = rho0
+    yield rho
+    for _ in times[1:]:
+        rho = (P @ rho.reshape(-1)).reshape(model.dim, model.dim)
+        yield rho
+
+
 def evolve(model: QuantumModel, initial: np.ndarray, times: np.ndarray,
-           channels: LindbladChannels = LindbladChannels(),
-           check_tol: float = 1e-9, store_states: bool = False) -> EvolutionResult:
+           channels: LindbladChannels = LindbladChannels()) -> EvolutionResult:
     """Propagate the master equation on a uniform time grid.
 
     Unitary runs (all rates zero) are propagated exactly in the eigenbasis of
@@ -229,50 +231,29 @@ def evolve(model: QuantumModel, initial: np.ndarray, times: np.ndarray,
     if np.any(dt <= 0.0) or not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
         raise ValueError("time grid must be uniform and increasing")
 
-    rho0 = _as_density_matrix(initial, model.dim)
-    unitary = not any((channels.spin_relaxation_rate, channels.pure_dephasing_rate,
-                       channels.phonon_decoherence_rate))
-
     nt = times.size
     populations = np.empty((nt, model.dim))
     purity = np.empty(nt)
     energy = np.empty(nt)
     coherence = np.empty(nt, dtype=complex)
-    states = np.empty((nt, model.dim, model.dim), dtype=complex) if store_states else None
-    nf = model.N_max + 1
-
-    if unitary:
-        evals, V = np.linalg.eigh(model.H)
-        rho_eig = V.conj().T @ rho0 @ V
-        gaps = evals[:, None] - evals[None, :]
-    else:
-        P = expm(_liouvillian(model, channels) * dt[0])
-        rho = rho0
-
-    for i in range(nt):
-        if unitary:
-            rho = V @ (np.exp(-1j * gaps * times[i]) * rho_eig) @ V.conj().T
-        elif i > 0:
-            rho = (P @ rho.reshape(-1)).reshape(model.dim, model.dim)
+    rho0 = _as_density_matrix(initial, model.dim)
+    for i, rho in enumerate(_states(model, rho0, times, channels)):
         tr = float(np.trace(rho).real)
-        if abs(tr - 1.0) > check_tol:
+        if abs(tr - 1.0) > CHECK_TOL:
             raise PositivityError(f"trace drifted to {tr} at t={times[i]:.3e}")
         herm = np.max(np.abs(rho - rho.conj().T))
-        if herm > 10.0 * check_tol:
+        if herm > 10.0 * CHECK_TOL:
             raise PositivityError(f"hermiticity violated by {herm:.2e}")
         eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        if eigs.min() < -check_tol:
+        if eigs.min() < -CHECK_TOL:
             raise PositivityError(f"negative eigenvalue {eigs.min():.2e}")
         populations[i] = np.real(np.diag(rho))
         purity[i] = float(np.real(np.trace(rho @ rho)))
         energy[i] = float(np.real(np.trace(model.H @ rho)))
-        coherence[i] = sum(rho[PLUS * nf + n, EXCITED * nf + n] for n in range(nf))
-        if store_states:
-            states[i] = rho
+        coherence[i] = np.trace(rho[model.block(PLUS), model.block(EXCITED)])
 
     return EvolutionResult(times=times, populations=populations, purity=purity,
-                           energy=energy, coherence_pe=coherence, model=model,
-                           states=states)
+                           energy=energy, coherence_pe=coherence, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +316,5 @@ def thermal_initial_state(model: QuantumModel, spin, mean_occupation: float) -> 
         weights = ratio ** n / (1.0 + mean_occupation)
         weights /= weights.sum()
     rho = np.zeros((model.dim, model.dim), dtype=complex)
-    if isinstance(spin, str):
-        spin = SPIN_LABELS.index(spin)
-    base = spin * nf
-    for k in range(nf):
-        rho[base + k, base + k] = weights[k]
+    rho[model.block(spin), model.block(spin)] = np.diag(weights)
     return rho

@@ -227,13 +227,11 @@ def cmd_dynamics(cfg: RunConfig, ctx: OutputContext):
     traj = simulate(body, tc, init, duration,
                     rotor_dynamics.DampingModel(dyn["gamma_per_s"]),
                     samples=dyn["samples"])
-    if traj.unstable:
-        ctx.warn("dynamics: trajectory flagged unstable and truncated")
+    extracted = rotor_dynamics.extract_secular_frequency(traj)
     rows = list(zip(traj.times, traj.phi1, traj.phi2, traj.dphi1, traj.dphi2))
     ctx.write("dynamics_trajectory",
               ["time_s", "phi1_rad", "phi2_rad", "dphi1_radps", "dphi2_radps"],
               [tuple(float(v) for v in r) for r in rows])
-    extracted = rotor_dynamics.extract_secular_frequency(traj)
     rel = abs(extracted - secular.omega) / secular.omega
     ctx.write("dynamics_summary",
               ["model", "extracted_omega_radps", "formula_omega_radps",
@@ -332,7 +330,9 @@ def cmd_jc_sim(cfg: RunConfig, ctx: OutputContext):
     """Spin-phonon exchange dynamics at the resonant working point."""
     jc = cfg.document["jc_sim"]
     body, mode, sol, report = _coupling_chain(cfg, ctx)
-    model = quantum_sim.build_model(sol.dressed, mode, report.lambda_tilde,
+    d = sol.dressed
+    model = quantum_sim.build_model((d.omega_plus, d.omega_minus, d.omega_e_prime),
+                                    mode.omega_phi, report.lambda_tilde,
                                     N_max=jc["N_max"], kind=jc["kind"])
     duration = jc["n_transfers"] / (2.0 * report.lambda_tilde)
     times = np.linspace(0.0, duration, jc["samples"])
@@ -342,20 +342,17 @@ def cmd_jc_sim(cfg: RunConfig, ctx: OutputContext):
             _budget(cfg), phonon_decoherence_rate=jc["phonon_rate_per_s"])
     initial = model.basis_state(jc["initial_spin"], jc["initial_n"])
     result = quantum_sim.evolve(model, initial, times, channels)
+    rate = quantum_sim.exchange_frequency(result)
 
-    nf = model.N_max + 1
     columns = ["time_s"]
     for label in quantum_sim.SPIN_LABELS:
-        columns += [f"P_{label}_{n}" for n in range(nf)]
+        columns += [f"P_{label}_{n}" for n in range(model.N_max + 1)]
     columns.append("purity")
-    rows = [tuple([float(t)] + [float(p) for p in result.populations[i]]
-                  + [float(result.purity[i])])
-            for i, t in enumerate(times)]
-    ctx.write("jc_populations", columns, rows)
+    ctx.write("jc_populations", columns,
+              np.column_stack([times, result.populations, result.purity]).tolist())
 
     budget = _budget(cfg)
     verdict = cpl.strong_coupling_assessment(report, budget)
-    rate = quantum_sim.exchange_frequency(result)
     ctx.write("jc_summary",
               ["lambda_tilde_hz", "exchange_frequency_hz", "strong",
                "ratio_T1", "ratio_T2"],

@@ -182,6 +182,9 @@ def _check(value, node: dict, path: str = ""):
     if got != kind and (kind, got) != ("number", "integer"):
         raise ConfigError(f"{path or 'configuration'} must be a JSON {kind}, "
                           f"got {value!r}")
+    # JSON Schema has no word for NaN or Infinity, which json.load accepts
+    if got == "number" and not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
     if "enum" in node and value not in node["enum"]:
         raise ConfigError(f"{path} must be one of {node['enum']}, got {value!r}")
     if "minimum" in node and not value >= node["minimum"]:

@@ -116,8 +116,22 @@ def test_non_finite_particle_length_writes_nothing(tmp_path, capsys):
     config = {"particle": {"shape": "sphere", "b_m": float("nan")}}
     code, out = run_cli(tmp_path, "coupling", config=config)
     assert code == 1
-    assert "Sphere.b" in capsys.readouterr().err
+    assert "particle.b_m" in capsys.readouterr().err
     assert not (out / "coupling.csv").exists()
+
+
+@pytest.mark.parametrize("key, doc", [
+    ("trap.Vac_V", {"trap": {"Vac_V": math.nan}}),
+    ("decoherence.T1_s", {"decoherence": {"T1_s": math.inf}}),
+    ("fig2_map.overlay_OmegaR_Hz[1]", {"fig2_map": {"overlay_OmegaR_Hz": [1e8, -math.inf]}}),
+    ("thermal.cases[1].a_m",
+     {"thermal": {"cases": [DEFAULT_CONFIG["thermal"]["cases"][0],
+                            {**DEFAULT_CONFIG["thermal"]["cases"][1], "a_m": math.nan}]}}),
+])
+def test_non_finite_numbers_rejected(key, doc):
+    # outside the published schema: JSON Schema cannot express NaN or Infinity
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be a finite number")):
+        RunConfig(doc)
 
 
 def test_config_hash_stable_under_key_order():
@@ -249,6 +263,12 @@ def test_committed_schema_is_current(tmp_path):
     ("dynamics", {"dynamics": {"model": "linaer"}}, "dynamics_summary.csv"),
     ("thermal", {"thermal": {"cases": [{**DEFAULT_CONFIG["thermal"]["cases"][0], "T": 4.0}]}},
      "thermal.csv"),
+    ("table1", {"trap": {"Vac_V": math.nan}}, "table1.csv"),
+    # too few samples for three extrema: the fit fails before any table is written
+    ("jc-sim", {"jc_sim": {"N_max": 2, "samples": 5}}, "jc_populations.csv"),
+    # a start on the angle limit leaves the linear model at once
+    ("dynamics", {"dynamics": {"phi1_0_rad": math.pi / 2, "samples": 1024}},
+     "dynamics_trajectory.csv"),
 ])
 def test_rejected_config_writes_nothing(tmp_path, capsys, verb, config, output):
     code, out = run_cli(tmp_path, verb, config=config)

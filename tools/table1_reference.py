@@ -13,7 +13,8 @@ Usage (needs mpmath, which levrot itself does not depend on):
     PYTHONPATH=src python tools/table1_reference.py [CSV ...]
 
 Each CSV given (e.g. ``tests/golden/table1.csv``) is compared cell by cell;
-the relative distance |value - reference| / |reference| is printed.
+the relative distance |value - reference| / |reference| is printed, and the
+exit status is 1 when any distance exceeds TOLERANCE.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from levrot.constants import DEFAULT_CONSTANTS
 from levrot.studio.config import DEFAULT_CONFIG, RunConfig
 
 DPS = 40
+TOLERANCE = 1e-15  # relative; the closed forms reach about 5e-16
 COLUMNS = ("omega_com_over_omega0", "omega_phi_over_omega0",
            "omega_phi_over_omega_com", "I_y_over_I0")
 
@@ -155,15 +157,19 @@ def main(paths):
     mp.mp.dps = DPS
     ref = reference_rows()
     tables = [(p, read_csv(p)) for p in paths]
+    worst = mp.mpf(0)
     for key, cells in ref.items():
         for col, r in zip(COLUMNS, cells):
             line = f"{key[0]:9s} {key[1]:6s} {col:26s} {mp.nstr(r, 20):>24s}"
             for _, table in tables:
                 v = mp.mpf(table[key][col])
                 d = abs(v - r) / abs(r) if r != 0 else abs(v)
+                worst = max(worst, d)
                 line += f"  {table[key][col]:>22s} {mp.nstr(d, 2):>8s}"
             print(line)
+    print(f"largest relative distance {mp.nstr(worst, 2)} (tolerance {TOLERANCE:g})")
+    return 1 if worst > TOLERANCE else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))
