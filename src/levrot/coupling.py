@@ -179,6 +179,8 @@ def resonance_curve(mode: RotationalMode, B_values, rabi_frequency: float,
     Returns (psi, feasible); psi is NaN where the resonance cannot be met
     (K <= 0, i.e. the e-d gap is below the phonon frequency).
     """
+    if not rabi_frequency > 0.0:
+        raise ValueError("Rabi frequency must be positive")
     K = resonance_K(B_values, mode.omega_phi, constants.zero_field_splitting_D,
                     constants.gamma_nv)
     rabi = TWO_PI * rabi_frequency

@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import curve_fit, OptimizeWarning
 
 from .coupling import DecoherenceBudget
 from .nv_spin import TWO_PI
@@ -208,6 +206,8 @@ def _states(model: QuantumModel, rho0: np.ndarray, times: np.ndarray,
         for t in times:
             yield V @ (np.exp(-1j * gaps * t) * rho_eig) @ V.conj().T
         return
+    from scipy.linalg import expm
+
     P = expm(_liouvillian(model, channels) * (times[1] - times[0]))
     rho = rho0
     yield rho
@@ -267,6 +267,13 @@ def _strict_extrema(p: np.ndarray):
             np.flatnonzero((inner < left) & (inner < right)) + 1)
 
 
+def curve_fit(*args, **kwargs):
+    """scipy.optimize.curve_fit, imported on first use; exchange_frequency
+    looks it up here, so the fit can be observed by patching this name."""
+    from scipy.optimize import curve_fit as fit
+    return fit(*args, **kwargs)
+
+
 def exchange_frequency(result: EvolutionResult, spin: str = "e") -> float:
     """Population-oscillation frequency (Hz) from a damped-cosine fit.
 
@@ -287,6 +294,8 @@ def exchange_frequency(result: EvolutionResult, spin: str = "e") -> float:
 
     def damped(tt, amp, f, phase, rate, offset):
         return amp * np.cos(TWO_PI * f * tt + phase) * np.exp(-rate * tt) + offset
+
+    from scipy.optimize import OptimizeWarning
 
     p0 = [0.5 * (p.max() - p.min()), f0, 0.0, 0.0, p.mean()]
     try:

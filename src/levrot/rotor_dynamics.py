@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .geometry import BodyProperties
 from .trap import TrapConfig, Mode, _period_flow, mathieu_coefficients
@@ -115,6 +114,8 @@ def simulate_nonlinear(body: BodyProperties, trap: TrapConfig, init: RotorState,
                        samples: int = 4096, rtol: float = 1e-9,
                        atol: float = 1e-14) -> Trajectory:
     """Two-angle dynamics with the full trigonometric torque."""
+    from scipy.integrate import solve_ivp
+
     (a1, a2), (q1, q2) = _angle_coefficients(body, trap)
     W = trap.drive_frequency
     k = 0.125 * W * W  # sin(2*phi)/2 -> phi recovers the linear model

@@ -118,8 +118,6 @@ def cmd_fig2_map(cfg: RunConfig, ctx: OutputContext):
     for B, (lam, feas) in zip(B_values, results):
         for j, psi in enumerate(psi_values):
             rows.append((float(B), float(psi), float(lam[j]), bool(feas[j])))
-    path = ctx.write("fig2_map",
-                     ["B_T", "psi_rad", "lambda_tilde_hz", "resonance_flag"], rows)
 
     overlay_rows = []
     for rabi in fm["overlay_OmegaR_Hz"]:
@@ -131,6 +129,8 @@ def cmd_fig2_map(cfg: RunConfig, ctx: OutputContext):
         for B, p, ok in zip(B_values, psi, feas):
             overlay_rows.append((float(rabi), float(B),
                                  float(p) if ok else math.nan, bool(ok)))
+    path = ctx.write("fig2_map",
+                     ["B_T", "psi_rad", "lambda_tilde_hz", "resonance_flag"], rows)
     opath = ctx.write("fig2_overlay", ["OmegaR_Hz", "B_T", "psi_rad", "feasible"],
                       overlay_rows)
     print(f"fig2-map: {len(rows)} map points -> {path}; overlays -> {opath}")
@@ -141,6 +141,7 @@ def cmd_fig4_curves(cfg: RunConfig, ctx: OutputContext):
     f4 = cfg.document["fig4_curves"]
     rabi_values = np.linspace(f4["OmegaR_min_Hz"], f4["OmegaR_max_Hz"],
                               f4["n_OmegaR"])
+    tables = []
     for family in f4["families"]:
         bodies = _family_bodies(cfg, family["shapes"], family["b_m"],
                                 family["aspect_ratio"], ctx.constants)
@@ -151,11 +152,13 @@ def cmd_fig4_curves(cfg: RunConfig, ctx: OutputContext):
         if n_bad:
             ctx.warn(f"fig4-curves family {family['label']}: "
                      f"{n_bad} resonance-unreachable points flagged")
-        rows = [(p.rabi_frequency, p.B, p.shape_id, p.lambda_tilde)
-                for p in points]
-        path = ctx.write(f"fig4_curves_{family['label']}",
+        tables.append((family["label"],
+                       [(p.rabi_frequency, p.B, p.shape_id, p.lambda_tilde)
+                        for p in points]))
+    for label, rows in tables:
+        path = ctx.write(f"fig4_curves_{label}",
                          ["omega_R_hz", "B_T", "shape_id", "lambda_tilde_hz"], rows)
-        print(f"fig4-curves[{family['label']}]: {len(rows)} points -> {path}")
+        print(f"fig4-curves[{label}]: {len(rows)} points -> {path}")
 
 
 def cmd_thermal(cfg: RunConfig, ctx: OutputContext):

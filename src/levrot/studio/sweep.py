@@ -7,7 +7,6 @@ in submission order, so the output bytes do not depend on the worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 
 def resolve_threads(cli_value: int | None) -> int:
@@ -28,6 +27,8 @@ def map_ordered(worker, items, threads: int = 1, chunksize: int | None = None):
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [worker(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     if chunksize is None:
         chunksize = max(1, len(items) // (threads * 4))
     with ProcessPoolExecutor(max_workers=threads) as pool:

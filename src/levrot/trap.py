@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .constants import DEFAULT_CONSTANTS
 from .geometry import BodyProperties
@@ -156,6 +155,8 @@ def _period_flow(a, q, d=0.0, s=math.pi, rtol: float = 1e-10):
         u1, u2, v1, v2 = y.reshape(4, n, -1)
         k = 2.0 * q * math.cos(2.0 * tau) - a
         return np.concatenate([v1, v2, k * u1 - d2 * v1, k * u2 - d2 * v2])
+
+    from scipy.integrate import solve_ivp
 
     s_eval, where = np.unique(np.ravel(s), return_inverse=True)
     sol = solve_ivp(rhs, (0.0, math.pi), np.repeat([1.0, 0.0, 0.0, 1.0], n),

@@ -200,6 +200,13 @@ def test_resonance_curve_matches_scalar_solver(prolate20):
         assert p == pytest.approx(sol.psi, rel=0.0, abs=4e-16)
 
 
+@pytest.mark.parametrize("rabi", [0.0, -5e8, -1e300])
+def test_resonance_curve_rejects_non_positive_rabi(prolate20, rabi):
+    mode = rotational_mode(prolate20, OMEGA_PHI_20)
+    with pytest.raises(ValueError, match="Rabi frequency must be positive"):
+        resonance_curve(mode, np.array([0.02, 0.03]), rabi)
+
+
 def test_map_feasibility_flag(prolate20):
     mode = rotational_mode(prolate20, OMEGA_PHI_20)
     B = np.array([0.001, 0.03, 0.05])

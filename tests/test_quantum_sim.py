@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from levrot import quantum_sim
 from levrot.coupling import DecoherenceBudget
 from levrot.nv_spin import TWO_PI
 from levrot.quantum_sim import (QuantumModel, LindbladChannels, EvolutionResult,
@@ -140,6 +141,48 @@ def test_exchange_frequency_synthetic():
                              coherence_pe=np.zeros(times.size, complex),
                              model=model)
     assert exchange_frequency(result) == pytest.approx(2 * LAM, rel=1e-3)
+
+
+def _exchange_result():
+    """|e, 0> population sin^2(2 pi LAM t): exchange at 2 LAM over 5.7 periods."""
+    times = np.linspace(0.0, 5e-5, 4096)
+    populations = np.zeros((times.size, 6))
+    populations[:, 4] = np.sin(TWO_PI * LAM * times) ** 2
+    populations[:, 0] = 1.0 - populations[:, 4]
+    return EvolutionResult(times=times, populations=populations,
+                           purity=np.ones(times.size), energy=np.zeros(times.size),
+                           coherence_pe=np.zeros(times.size, complex),
+                           model=resonant_model(LAM, OMEGA_PHI, N_max=1))
+
+
+def _fail(*args, **kwargs):
+    raise RuntimeError("Optimal parameters not found")
+
+
+def test_exchange_frequency_falls_back_to_fft_bin(monkeypatch):
+    result = _exchange_result()
+    fitted = exchange_frequency(result)
+    monkeypatch.setattr(quantum_sim, "curve_fit", _fail)
+    f_bin = exchange_frequency(result)
+    width = 1.0 / (result.times.size * (result.times[1] - result.times[0]))
+    assert f_bin / width == pytest.approx(round(f_bin / width), rel=0.0, abs=1e-9)
+    assert abs(f_bin - 2 * LAM) <= width
+    assert abs(fitted - 2 * LAM) < 1e-3 * LAM < abs(f_bin - fitted)
+
+
+@pytest.mark.parametrize("factor, kept", [(0.4, False), (2.5, False), (1.5, True),
+                                          (-1.5, True)])
+def test_exchange_frequency_guards_the_fit(monkeypatch, factor, kept):
+    # a fit more than a factor 2 away from the FFT bin (p0[1]) is replaced by the bin
+    result = _exchange_result()
+    monkeypatch.setattr(quantum_sim, "curve_fit", _fail)
+    f_bin = exchange_frequency(result)
+
+    def wander(func, t, p, p0, **kwargs):
+        return np.array([p0[0], factor * p0[1], 0.0, 0.0, p0[4]]), None
+
+    monkeypatch.setattr(quantum_sim, "curve_fit", wander)
+    assert exchange_frequency(result) == (abs(factor) * f_bin if kept else f_bin)
 
 
 def test_exchange_frequency_needs_oscillation():

@@ -269,12 +269,22 @@ def test_committed_schema_is_current(tmp_path):
     # a start on the angle limit leaves the linear model at once
     ("dynamics", {"dynamics": {"phi1_0_rad": math.pi / 2, "samples": 1024}},
      "dynamics_trajectory.csv"),
+    # multi-table verbs: the first table computes, a later one fails
+    ("fig4-curves", {"fig4_curves": {"families": [
+        DEFAULT_CONFIG["fig4_curves"]["families"][0],
+        {**DEFAULT_CONFIG["fig4_curves"]["families"][1], "b_m": 1e60}]}},
+     "fig4_curves_b20.csv"),
+    ("fig2-map", {"fig2_map": {**SMALL_MAP_CONFIG["fig2_map"],
+                               "overlay_OmegaR_Hz": [-1e300]}}, "fig2_map.csv"),
+    ("fig2-map", {"fig2_map": {**SMALL_MAP_CONFIG["fig2_map"],
+                               "overlay_OmegaR_Hz": [5.0e8, 0.0]}}, "fig2_map.csv"),
 ])
 def test_rejected_config_writes_nothing(tmp_path, capsys, verb, config, output):
     code, out = run_cli(tmp_path, verb, config=config)
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not (out / output).exists()
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_resolve_threads_env(monkeypatch):
@@ -482,13 +492,32 @@ def test_json_tables_parse_strictly(tmp_path):
     assert any(row[2] is None and row[3] is False for row in overlay["rows"])
 
 
-def test_cli_import_leaves_out_scipy_signal():
+def fresh_python(probe: str) -> str:
+    """stdout of ``probe`` run by a new interpreter that imports this levrot."""
     import levrot
 
     src = str(Path(levrot.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    probe = "import sys, levrot.studio.cli; print('scipy.signal' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    probe = "import sys, levrot.studio.cli; print('scipy.signal' in sys.modules)"
+    assert fresh_python(probe) == "False"
+
+
+LOADED = ("sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
+          " or m == 'concurrent.futures.process')")
+
+
+def test_cli_import_and_table1_load_no_scipy(tmp_path):
+    # scipy (and the process pool) load only inside the verbs that use them
+    assert fresh_python(f"import sys, levrot.studio.cli; print({LOADED})") == "[]"
+    probe = ("import sys, levrot.studio.cli; "
+             f"code = levrot.studio.cli.main(['--out', {str(tmp_path)!r}, 'table1']); "
+             f"print(code, {LOADED})")
+    assert fresh_python(probe).splitlines()[-1] == "0 []"
+    assert (tmp_path / "table1.csv").read_bytes() == (GOLDEN / "table1.csv").read_bytes()
