@@ -5,6 +5,10 @@ Verbs: table1, fig2-map, fig4-curves, thermal, charges, stability-chart,
 dynamics, spin, resonance, coupling, jc-sim.  Global flags: --config PATH,
 --out DIR, --threads N, --format {csv,json}.  All outputs are deterministic
 for a given config and package version and carry a provenance footer.
+
+Each verb computes and returns its tables as (name, columns, rows) triples and
+writes no file; main writes them only once the verb has returned all of them,
+so a run that fails writes nothing.
 """
 
 from __future__ import annotations
@@ -33,20 +37,26 @@ class OutputContext:
     out_dir: Path
     fmt: str
     threads: int
-    config_hash: str
     constants: PhysicalConstants
     warnings: list[str] = field(default_factory=list)
-    written: list[Path] = field(default_factory=list)
 
     def warn(self, message: str):
         self.warnings.append(message)
 
-    def write(self, name: str, columns, rows) -> Path:
-        ext = "csv" if self.fmt == "csv" else "json"
-        path = self.out_dir / f"{name}.{ext}"
-        write_table(path, columns, rows, self.config_hash, self.constants, self.fmt)
-        self.written.append(path)
-        return path
+    def path(self, name: str) -> Path:
+        """Where main writes the table called name."""
+        return self.out_dir / f"{name}.{self.fmt}"
+
+
+def _table(name: str, columns: list[str], *arrays):
+    """A verb's table: its name, its column names and one array per column."""
+    return name, columns, np.rec.fromarrays(arrays, names=columns)
+
+
+def _rows_table(name: str, columns: list[str], rows):
+    """_table from row tuples, for tables of a few rows."""
+    return _table(name, columns, *([row[i] for row in rows]
+                                   for i in range(len(columns))))
 
 
 def _body_from_config(cfg: RunConfig, constants: PhysicalConstants):
@@ -90,10 +100,10 @@ def cmd_table1(cfg: RunConfig, ctx: OutputContext):
                      w_com / omega0, w_phi / omega0,
                      w_phi / w_com if w_com > 0.0 else 0.0,
                      body.I_Y / I0))
-    path = ctx.write("table1", ["particle_type", "c_over_b",
-                                "omega_com_over_omega0", "omega_phi_over_omega0",
-                                "omega_phi_over_omega_com", "I_y_over_I0"], rows)
-    print(f"table1: {len(rows)} rows -> {path}")
+    print(f"table1: {len(rows)} rows -> {ctx.path('table1')}")
+    return [_rows_table("table1", ["particle_type", "c_over_b",
+                                   "omega_com_over_omega0", "omega_phi_over_omega0",
+                                   "omega_phi_over_omega_com", "I_y_over_I0"], rows)]
 
 
 def _fig2_row(B: float, psi_values=None, mode=None, constants=None, rabi_cap=None):
@@ -113,27 +123,28 @@ def cmd_fig2_map(cfg: RunConfig, ctx: OutputContext):
                                constants=ctx.constants,
                                rabi_cap=cpl.RABI_TECHNICAL_CAP)
     results = map_ordered(worker, [float(b) for b in B_values], ctx.threads)
+    lam, feas = (np.stack(part) for part in zip(*results))
+    n_B, n_psi = B_values.size, psi_values.size
+    fig2 = _table("fig2_map", ["B_T", "psi_rad", "lambda_tilde_hz", "resonance_flag"],
+                  np.repeat(B_values, n_psi), np.tile(psi_values, n_B),
+                  lam.ravel(), feas.ravel())
 
-    rows = []
-    for B, (lam, feas) in zip(B_values, results):
-        for j, psi in enumerate(psi_values):
-            rows.append((float(B), float(psi), float(lam[j]), bool(feas[j])))
-
-    overlay_rows = []
-    for rabi in fm["overlay_OmegaR_Hz"]:
-        psi, feas = cpl.resonance_curve(mode, B_values, rabi, ctx.constants)
-        n_bad = int(np.count_nonzero(~feas))
+    rabis = fm["overlay_OmegaR_Hz"]
+    psi = np.empty((len(rabis), n_B))
+    ok = np.empty((len(rabis), n_B), dtype=bool)
+    for i, rabi in enumerate(rabis):
+        psi[i], ok[i] = cpl.resonance_curve(mode, B_values, rabi, ctx.constants)
+        n_bad = int(np.count_nonzero(~ok[i]))
         if n_bad:
             ctx.warn(f"fig2-map overlay OmegaR={rabi:g} Hz: resonance unreachable "
-                     f"at {n_bad} of {B_values.size} field values")
-        for B, p, ok in zip(B_values, psi, feas):
-            overlay_rows.append((float(rabi), float(B),
-                                 float(p) if ok else math.nan, bool(ok)))
-    path = ctx.write("fig2_map",
-                     ["B_T", "psi_rad", "lambda_tilde_hz", "resonance_flag"], rows)
-    opath = ctx.write("fig2_overlay", ["OmegaR_Hz", "B_T", "psi_rad", "feasible"],
-                      overlay_rows)
-    print(f"fig2-map: {len(rows)} map points -> {path}; overlays -> {opath}")
+                     f"at {n_bad} of {n_B} field values")
+    overlay = _table("fig2_overlay", ["OmegaR_Hz", "B_T", "psi_rad", "feasible"],
+                     np.repeat(np.asarray(rabis, dtype=float), n_B),
+                     np.tile(B_values, len(rabis)),
+                     np.where(ok, psi, math.nan).ravel(), ok.ravel())
+    print(f"fig2-map: {n_B * n_psi} map points -> {ctx.path('fig2_map')}; "
+          f"overlays -> {ctx.path('fig2_overlay')}")
+    return [fig2, overlay]
 
 
 def cmd_fig4_curves(cfg: RunConfig, ctx: OutputContext):
@@ -152,29 +163,35 @@ def cmd_fig4_curves(cfg: RunConfig, ctx: OutputContext):
         if n_bad:
             ctx.warn(f"fig4-curves family {family['label']}: "
                      f"{n_bad} resonance-unreachable points flagged")
-        tables.append((family["label"],
-                       [(p.rabi_frequency, p.B, p.shape_id, p.lambda_tilde)
-                        for p in points]))
-    for label, rows in tables:
-        path = ctx.write(f"fig4_curves_{label}",
-                         ["omega_R_hz", "B_T", "shape_id", "lambda_tilde_hz"], rows)
-        print(f"fig4-curves[{label}]: {len(rows)} points -> {path}")
+        tables.append(_rows_table(
+            f"fig4_curves_{family['label']}",
+            ["omega_R_hz", "B_T", "shape_id", "lambda_tilde_hz"],
+            [(p.rabi_frequency, p.B, p.shape_id, p.lambda_tilde) for p in points]))
+    for family, (name, _, rows) in zip(f4["families"], tables):
+        print(f"fig4-curves[{family['label']}]: {len(rows)} points -> {ctx.path(name)}")
+    return tables
 
 
 def cmd_thermal(cfg: RunConfig, ctx: OutputContext):
     """Equipartition angular spread for the configured prolate particles."""
     th = cfg.document["thermal"]
-    rows = []
-    for case in th["cases"]:
+    cases = th["cases"]
+    rms = []
+    for case in cases:
         body = build_body(ProlateEllipsoid(a=case["a_m"], b=case["b_m"]),
                           SurfaceDensity(1e-6), constants=ctx.constants)
         state = trap.thermal_angle(body, TWO_PI * case["omega_phi_Hz"],
                                    th["temperature_K"], k_B=ctx.constants.k_B)
-        rows.append((case["label"], case["b_m"], case["a_m"],
-                     case["omega_phi_Hz"], th["temperature_K"], state.rms_angle))
+        rms.append(state.rms_angle)
         print(f"thermal[{case['label']}]: sqrt(<phi^2>) = {state.rms_angle:.4f} rad")
-    ctx.write("thermal", ["label", "b_m", "a_m", "omega_phi_Hz",
-                          "temperature_K", "rms_angle_rad"], rows)
+
+    def echo(key):  # each case's number as written, integer or not
+        return np.array([case[key] for case in cases], dtype=object)
+
+    return [_table("thermal", ["label", "b_m", "a_m", "omega_phi_Hz",
+                               "temperature_K", "rms_angle_rad"],
+                   [case["label"] for case in cases], echo("b_m"), echo("a_m"),
+                   echo("omega_phi_Hz"), [th["temperature_K"]] * len(cases), rms)]
 
 
 def cmd_charges(cfg: RunConfig, ctx: OutputContext):
@@ -189,16 +206,16 @@ def cmd_charges(cfg: RunConfig, ctx: OutputContext):
     budget = trap.charge_budget(body, tc, TWO_PI * ch["omega_phi_Hz"], ch["ratio"],
                                 elementary_charge=ctx.constants.elementary_charge)
     ref = ch["reference_count_e"]
-    ctx.write("charges", ["b_m", "a_m", "omega_phi_Hz", "ratio",
-                          "required_charge_C", "elementary_count",
-                          "reference_count_e"],
-              [(ch["b_m"], ch["a_m"], ch["omega_phi_Hz"], ch["ratio"],
-                budget.required_charge, budget.elementary_count, ref)])
     print(f"charges: computed count = {budget.elementary_count} e "
           f"(|Q| = {budget.required_charge:.3e} C)")
     print(f"charges: quoted literature estimate = {ref} e; this model gives "
           f"{budget.elementary_count / ref:.1f}x that value and does not "
           "reproduce it (see README notes)")
+    return [_rows_table("charges", ["b_m", "a_m", "omega_phi_Hz", "ratio",
+                                    "required_charge_C", "elementary_count",
+                                    "reference_count_e"],
+                        [(ch["b_m"], ch["a_m"], ch["omega_phi_Hz"], ch["ratio"],
+                          budget.required_charge, budget.elementary_count, ref)])]
 
 
 def cmd_stability_chart(cfg: RunConfig, ctx: OutputContext):
@@ -207,9 +224,10 @@ def cmd_stability_chart(cfg: RunConfig, ctx: OutputContext):
     a, q = np.meshgrid(np.linspace(sc["a_min"], sc["a_max"], sc["n_a"]),
                        np.linspace(sc["q_min"], sc["q_max"], sc["n_q"]), indexing="ij")
     stable, traces = trap.stability_chart(a, q)
-    rows = list(zip(*(x.ravel().tolist() for x in (a, q, stable, traces))))
-    path = ctx.write("stability_chart", ["a", "q", "stable", "monodromy_trace"], rows)
-    print(f"stability-chart: {int(stable.sum())}/{len(rows)} stable -> {path}")
+    print(f"stability-chart: {int(stable.sum())}/{stable.size} stable -> "
+          f"{ctx.path('stability_chart')}")
+    return [_table("stability_chart", ["a", "q", "stable", "monodromy_trace"],
+                   *(x.ravel() for x in (a, q, stable, traces)))]
 
 
 def cmd_dynamics(cfg: RunConfig, ctx: OutputContext):
@@ -231,17 +249,16 @@ def cmd_dynamics(cfg: RunConfig, ctx: OutputContext):
                     rotor_dynamics.DampingModel(dyn["gamma_per_s"]),
                     samples=dyn["samples"])
     extracted = rotor_dynamics.extract_secular_frequency(traj)
-    rows = list(zip(traj.times, traj.phi1, traj.phi2, traj.dphi1, traj.dphi2))
-    ctx.write("dynamics_trajectory",
-              ["time_s", "phi1_rad", "phi2_rad", "dphi1_radps", "dphi2_radps"],
-              [tuple(float(v) for v in r) for r in rows])
     rel = abs(extracted - secular.omega) / secular.omega
-    ctx.write("dynamics_summary",
-              ["model", "extracted_omega_radps", "formula_omega_radps",
-               "relative_error"],
-              [(dyn["model"], extracted, secular.omega, rel)])
     print(f"dynamics: extracted {extracted / TWO_PI / 1e6:.4f} MHz vs formula "
           f"{secular.omega / TWO_PI / 1e6:.4f} MHz (rel err {rel:.2e})")
+    return [_table("dynamics_trajectory",
+                   ["time_s", "phi1_rad", "phi2_rad", "dphi1_radps", "dphi2_radps"],
+                   traj.times, traj.phi1, traj.phi2, traj.dphi1, traj.dphi2),
+            _rows_table("dynamics_summary",
+                        ["model", "extracted_omega_radps", "formula_omega_radps",
+                         "relative_error"],
+                        [(dyn["model"], extracted, secular.omega, rel)])]
 
 
 def _spin_chain(cfg: RunConfig, ctx: OutputContext):
@@ -258,16 +275,16 @@ def _spin_chain(cfg: RunConfig, ctx: OutputContext):
 
 def cmd_spin(cfg: RunConfig, ctx: OutputContext):
     spin_cfg, mixed, mw, dressed = _spin_chain(cfg, ctx)
-    ctx.write("spin",
-              ["B_T", "theta_rad", "omega_g_radps", "omega_d_radps",
-               "omega_e_radps", "OmegaR_Hz", "Delta_Hz", "psi_rad",
-               "omega_plus_radps", "omega_minus_radps", "omega_e_prime_radps"],
-              [(spin_cfg.B, mixed.theta, mixed.omega_g, mixed.omega_d,
-                mixed.omega_e, mw.rabi_frequency, dressed.detuning / TWO_PI,
-                dressed.psi, dressed.omega_plus, dressed.omega_minus,
-                dressed.omega_e_prime)])
     print(f"spin: theta = {mixed.theta:.4f} rad, psi = {dressed.psi:.4f} rad, "
           f"(omega_e - omega_d)/2pi = {mixed.omega_ed / TWO_PI / 1e6:.2f} MHz")
+    return [_rows_table(
+        "spin", ["B_T", "theta_rad", "omega_g_radps", "omega_d_radps",
+                 "omega_e_radps", "OmegaR_Hz", "Delta_Hz", "psi_rad",
+                 "omega_plus_radps", "omega_minus_radps", "omega_e_prime_radps"],
+        [(spin_cfg.B, mixed.theta, mixed.omega_g, mixed.omega_d,
+          mixed.omega_e, mw.rabi_frequency, dressed.detuning / TWO_PI,
+          dressed.psi, dressed.omega_plus, dressed.omega_minus,
+          dressed.omega_e_prime)])]
 
 
 def cmd_resonance(cfg: RunConfig, ctx: OutputContext):
@@ -277,14 +294,13 @@ def cmd_resonance(cfg: RunConfig, ctx: OutputContext):
     sol = nv_spin.resonance_solve(base, rs["OmegaR_Hz"],
                                   TWO_PI * rs["omega_phi_Hz"],
                                   solve_for=rs["solve_for"])
-    ctx.write("resonance",
-              ["solve_for", "OmegaR_Hz", "omega_phi_Hz", "B_T", "Delta_Hz",
-               "psi_rad"],
-              [(rs["solve_for"], rs["OmegaR_Hz"], rs["omega_phi_Hz"], sol.B,
-                sol.detuning / TWO_PI, sol.psi)])
     print(f"resonance: B = {sol.B * 1e3:.3f} mT, Delta = "
           f"{sol.detuning / TWO_PI / 1e6:.3f} MHz, psi = {sol.psi:.4f} rad")
-    return sol
+    return [_rows_table("resonance",
+                        ["solve_for", "OmegaR_Hz", "omega_phi_Hz", "B_T", "Delta_Hz",
+                         "psi_rad"],
+                        [(rs["solve_for"], rs["OmegaR_Hz"], rs["omega_phi_Hz"], sol.B,
+                          sol.detuning / TWO_PI, sol.psi)])]
 
 
 def _coupling_chain(cfg: RunConfig, ctx: OutputContext):
@@ -314,19 +330,19 @@ def cmd_coupling(cfg: RunConfig, ctx: OutputContext):
         ctx.warn("coupling: excitation-conserving reduction outside its "
                  f"validity bound ({report.lambda_tilde:.3g} Hz > "
                  f"{report.rwa_bound:.3g} Hz)")
-    ctx.write("coupling",
-              ["omega_phi_Hz", "OmegaR_Hz", "B_T", "Delta_Hz", "theta_rad",
-               "psi_rad", "lambda_phi_hz", "lambda_tilde_hz", "rwa_ok",
-               "T1_s", "T2_s", "ratio_T1", "ratio_T2", "strong"],
-              [(mode.omega_phi / TWO_PI, cfg.document["resonance"]["OmegaR_Hz"],
-                sol.B, sol.detuning / TWO_PI, report.theta, report.psi,
-                report.lambda_phi, report.lambda_tilde, report.rwa_ok,
-                budget.T1, budget.T2, verdict.ratio_T1, verdict.ratio_T2,
-                verdict.strong)])
     print(f"coupling: lambda = {report.lambda_phi / 1e3:.2f} kHz, "
           f"lambda_tilde = {report.lambda_tilde / 1e3:.2f} kHz, "
           f"strong = {verdict.strong} "
           f"(ratios T1 {verdict.ratio_T1:.2f}, T2 {verdict.ratio_T2:.2f})")
+    return [_rows_table(
+        "coupling", ["omega_phi_Hz", "OmegaR_Hz", "B_T", "Delta_Hz", "theta_rad",
+                     "psi_rad", "lambda_phi_hz", "lambda_tilde_hz", "rwa_ok",
+                     "T1_s", "T2_s", "ratio_T1", "ratio_T2", "strong"],
+        [(mode.omega_phi / TWO_PI, cfg.document["resonance"]["OmegaR_Hz"],
+          sol.B, sol.detuning / TWO_PI, report.theta, report.psi,
+          report.lambda_phi, report.lambda_tilde, report.rwa_ok,
+          budget.T1, budget.T2, verdict.ratio_T1, verdict.ratio_T2,
+          verdict.strong)])]
 
 
 def cmd_jc_sim(cfg: RunConfig, ctx: OutputContext):
@@ -351,18 +367,16 @@ def cmd_jc_sim(cfg: RunConfig, ctx: OutputContext):
     for label in quantum_sim.SPIN_LABELS:
         columns += [f"P_{label}_{n}" for n in range(model.N_max + 1)]
     columns.append("purity")
-    ctx.write("jc_populations", columns,
-              np.column_stack([times, result.populations, result.purity]).tolist())
-
-    budget = _budget(cfg)
-    verdict = cpl.strong_coupling_assessment(report, budget)
-    ctx.write("jc_summary",
-              ["lambda_tilde_hz", "exchange_frequency_hz", "strong",
-               "ratio_T1", "ratio_T2"],
-              [(report.lambda_tilde, rate, verdict.strong,
-                verdict.ratio_T1, verdict.ratio_T2)])
+    verdict = cpl.strong_coupling_assessment(report, _budget(cfg))
     print(f"jc-sim: lambda_tilde = {report.lambda_tilde / 1e3:.2f} kHz, "
           f"population oscillation = {rate / 1e3:.2f} kHz, strong = {verdict.strong}")
+    return [_table("jc_populations", columns,
+                   times, *result.populations.T, result.purity),
+            _rows_table("jc_summary",
+                        ["lambda_tilde_hz", "exchange_frequency_hz", "strong",
+                         "ratio_T1", "ratio_T2"],
+                        [(report.lambda_tilde, rate, verdict.strong,
+                          verdict.ratio_T1, verdict.ratio_T2)])]
 
 
 VERBS = {
@@ -378,6 +392,16 @@ VERBS = {
     "coupling": cmd_coupling,
     "jc-sim": cmd_jc_sim,
 }
+
+
+def _check_file_names(ctx: OutputContext, tables):
+    """Refuse tables that would overwrite each other, on any file system."""
+    seen = set()
+    for name, _, _ in tables:
+        file_name = ctx.path(name).name
+        if file_name.casefold() in seen:
+            raise ValueError(f"two tables of this run map to one file: {file_name}")
+        seen.add(file_name.casefold())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,16 +427,20 @@ def main(argv=None) -> int:
     try:
         cfg = (RunConfig.from_file(args.config) if args.config
                else RunConfig.default())
-        constants = cfg.constants()
-        args.out.mkdir(parents=True, exist_ok=True)
         ctx = OutputContext(out_dir=args.out, fmt=args.format,
                             threads=resolve_threads(args.threads),
-                            config_hash=cfg.sha256(), constants=constants)
+                            constants=cfg.constants())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            VERBS[args.verb](cfg, ctx)
+            tables = VERBS[args.verb](cfg, ctx)
         for message in dict.fromkeys(str(w.message) for w in caught):
             ctx.warn(message)
+        _check_file_names(ctx, tables)
+        config_hash = cfg.sha256()
+        args.out.mkdir(parents=True, exist_ok=True)
+        for name, columns, rows in tables:
+            write_table(ctx.path(name), columns, rows, config_hash, ctx.constants,
+                        args.format)
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,11 +2,12 @@
 
 DEFAULT_CONFIG holds the defaults (the 20 nm prolate scenario), and each key
 takes its default's JSON type.  The tables below it add what a default cannot
-say: allowed strings, inclusive bounds, the shape-id grammar and the keys of
-the sections a document replaces wholesale.  RunConfig checks a document
-against the schema built from both, naming the dotted key in any error, and
-write_schema publishes it as docs/config_schema.json.  Field names carry unit
-suffixes (b_m, Vac_V, OmegaR_Hz, ...).
+say: allowed strings, inclusive bounds, the shape-id and file-name label
+grammars and the keys of the sections a document replaces wholesale.
+RunConfig checks a document against the schema built from both, naming the
+dotted key in any error, and write_schema publishes it as
+docs/config_schema.json.  Field names carry unit suffixes (b_m, Vac_V,
+OmegaR_Hz, ...).
 """
 
 from __future__ import annotations
@@ -120,6 +121,10 @@ _FRACTION = r"\.[0-9]*[1-9][0-9]*"
 _SHAPE_ID = {"pattern": r"^(sphere|prolate|oblate|(composite|zero_mass_disk):"
                         rf"0*(1(\.0*)?|{_FRACTION}|"
                         rf"([1-9](\.[0-9]*)?|{_FRACTION})[eE]-0*[1-9][0-9]*))$"}
+# a label becomes part of a file name: no path separators, dots or spaces
+_LABEL = {"pattern": "^[A-Za-z0-9_-]+$"}
+_PATTERN_MEANING = {_SHAPE_ID["pattern"]: "a shape id with 0 < c/b <= 1",
+                    _LABEL["pattern"]: "letters, digits, '_' and '-' only"}
 _COUNT = {"minimum": 1}
 _ANGLE = {"minimum": -ANGLE_LIMIT, "maximum": ANGLE_LIMIT}  # small-angle rotor model
 
@@ -137,6 +142,7 @@ _DECLARED = {
     "jc_sim.samples": {"minimum": 2},
     "dynamics.phi1_0_rad": _ANGLE, "dynamics.phi2_0_rad": _ANGLE,
     "table1.rows[]": _SHAPE_ID, "fig4_curves.families[].shapes[]": _SHAPE_ID,
+    "fig4_curves.families[].label": _LABEL,
 }
 
 # bool before int: a boolean is an int to isinstance
@@ -192,7 +198,8 @@ def _check(value, node: dict, path: str = ""):
     if "maximum" in node and not value <= node["maximum"]:
         raise ConfigError(f"{path} must be <= {node['maximum']}, got {value!r}")
     if "pattern" in node and not re.fullmatch(node["pattern"], value):
-        raise ConfigError(f"{path} must be a shape id with 0 < c/b <= 1, got {value!r}")
+        raise ConfigError(f"{path} must be {_PATTERN_MEANING[node['pattern']]}, "
+                          f"got {value!r}")
     if "oneOf" in node:
         field, variants = _VARIANTS[path]
         _check(value.get(field), {"type": "string", "enum": list(variants)},

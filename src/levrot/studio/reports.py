@@ -1,9 +1,17 @@
 """Deterministic CSV/JSON table writers with a provenance footer.
 
-Floats are serialized with repr (shortest round-trip form), so identical
-inputs give byte-identical files (JSON writes non-finite floats as null);
-every file ends with comment lines carrying the package version, the
-config hash and the constants in force.
+A table is its column names plus a numpy structured array (one field per
+column, in order), so ``len(rows)`` is its row count and each field keeps its
+own dtype.  The CLI verbs build every table first and return them; the CLI
+writes them only after the verb has returned all of them.
+
+Each column is formatted once, not cell by cell: floats with repr (shortest
+round-trip form), so identical inputs give byte-identical files, bools as
+``true``/``false``, and integers, strings and object fields with str.  CSV
+rows are joined and written CHUNK_ROWS at a time, so no list of the whole
+table's lines is built.  JSON writes non-finite floats as null.  Every file
+ends with comment lines carrying the package version, the config hash and
+the constants in force.
 """
 
 from __future__ import annotations
@@ -12,8 +20,14 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .. import __version__
 from ..constants import PhysicalConstants
+
+CHUNK_ROWS = 4096
+
+_BOOL_TEXT = ("false", "true")
 
 
 def provenance_lines(config_hash: str, constants: PhysicalConstants) -> list[str]:
@@ -24,34 +38,40 @@ def provenance_lines(config_hash: str, constants: PhysicalConstants) -> list[str
     ]
 
 
-def _cell(value) -> str:
-    if hasattr(value, "item"):  # numpy scalar
-        value = value.item()
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv_cells(column: np.ndarray):
+    values = column.tolist()
+    if column.dtype.kind == "b":
+        return map(_BOOL_TEXT.__getitem__, values)
+    return map(repr if column.dtype.kind == "f" else str, values)
 
 
-def _json_value(value):
-    value = value.item() if hasattr(value, "item") else value  # numpy scalar
-    return None if isinstance(value, float) and not math.isfinite(value) else value
+def _json_cells(column: np.ndarray) -> list:
+    values = column.tolist()
+    kind = column.dtype.kind
+    if kind not in "fO" or (kind == "f" and np.isfinite(column).all()):
+        return values
+    return [None if isinstance(v, float) and not math.isfinite(v) else v
+            for v in values]
 
 
 def write_table(path: Path, columns: list[str], rows, config_hash: str,
                 constants: PhysicalConstants, fmt: str = "csv") -> Path:
-    """Write rows (sequences matching columns) as CSV or JSON records."""
+    """Write a structured array whose fields are ``columns`` as CSV or JSON."""
     path = Path(path)
+    fields = rows.dtype.names
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_cell(v) for v in row) for row in rows]
-        lines += ["# " + line for line in provenance_lines(config_hash, constants)]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(columns) + "\n")
+            for start in range(0, len(rows), CHUNK_ROWS):
+                chunk = rows[start:start + CHUNK_ROWS]
+                cells = [_csv_cells(chunk[name]) for name in fields]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            fh.write("".join(f"# {line}\n"
+                             for line in provenance_lines(config_hash, constants)))
     elif fmt == "json":
         payload = {
             "columns": columns,
-            "rows": [[_json_value(v) for v in row] for row in rows],
+            "rows": list(zip(*(_json_cells(rows[name]) for name in fields))),
             "provenance": provenance_lines(config_hash, constants),
         }
         text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)

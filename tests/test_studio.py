@@ -215,6 +215,11 @@ for section, key, side, bound in BOUNDS:
                else math.nextafter(bound, math.inf if side == "maximum" else -math.inf))
     ACCEPTED.append({section: {key: bound}})
     REJECTED.append((f"{section}.{key}", {section: {key: outside}}))
+# a family label becomes part of a file name
+FAMILIES = DEFAULT_CONFIG["fig4_curves"]["families"]
+REJECTED += [("fig4_curves.families[1].label",
+              {"fig4_curves": {"families": [FAMILIES[0], {**FAMILIES[1], "label": bad}]}})
+             for bad in ("../../y", "b 80", "")]
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +283,20 @@ def test_committed_schema_is_current(tmp_path):
                                "overlay_OmegaR_Hz": [-1e300]}}, "fig2_map.csv"),
     ("fig2-map", {"fig2_map": {**SMALL_MAP_CONFIG["fig2_map"],
                                "overlay_OmegaR_Hz": [5.0e8, 0.0]}}, "fig2_map.csv"),
+    # two families whose tables would land in one file, here or on a
+    # case-insensitive file system, and a label that is a path
+    ("fig4-curves", {"fig4_curves": {"families": [
+        {**DEFAULT_CONFIG["fig4_curves"]["families"][0], "label": "x"},
+        {**DEFAULT_CONFIG["fig4_curves"]["families"][1], "label": "x"}]}},
+     "fig4_curves_x.csv"),
+    ("fig4-curves", {"fig4_curves": {"families": [
+        {**DEFAULT_CONFIG["fig4_curves"]["families"][0], "label": "x"},
+        {**DEFAULT_CONFIG["fig4_curves"]["families"][1], "label": "../../y"}]}},
+     "fig4_curves_x.csv"),
+    ("fig4-curves", {"fig4_curves": {"families": [
+        {**DEFAULT_CONFIG["fig4_curves"]["families"][0], "label": "x"},
+        {**DEFAULT_CONFIG["fig4_curves"]["families"][1], "label": "X"}]}},
+     "fig4_curves_x.csv"),
 ])
 def test_rejected_config_writes_nothing(tmp_path, capsys, verb, config, output):
     code, out = run_cli(tmp_path, verb, config=config)
@@ -358,6 +377,19 @@ def test_thermal_and_charges_verbs(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "computed count = 365" in captured
     assert "literature estimate = 60" in captured  # documented discrepancy
+
+
+def test_thermal_cells_keep_each_numbers_spelling(tmp_path):
+    # one column mixing integer and decimal config numbers: each cell is
+    # written as the config spells it, not widened to one dtype
+    cases = [{"label": "a", "b_m": 2e-8, "a_m": 5e-8, "omega_phi_Hz": 5000000},
+             {"label": "b", "b_m": 8e-8, "a_m": 2e-7, "omega_phi_Hz": 5e5}]
+    code, out = run_cli(tmp_path, "thermal",
+                        config={"thermal": {"temperature_K": 300, "cases": cases}})
+    assert code == 0
+    _, body, _ = read_csv(out / "thermal.csv")
+    assert [row.split(",")[3:5] for row in body] == [["5000000", "300"],
+                                                      ["500000.0", "300"]]
 
 
 def test_stability_chart_verb(tmp_path):
