@@ -3,8 +3,9 @@
 A model is its Hamiltonian (rad/s), built from the three dressed levels and
 omega_phi on the basis {|+>, |->, |e>} x {|0> .. |N_max>} that
 QuantumModel.index lays out.  Dimensions stay small (3*(N_max+1) <= a few
-tens), so propagation is exact: evolve checks and measures each state of one
-sequence, from eigenbasis phases when unitary or exp(L dt) steps otherwise.
+tens), so propagation is exact: evolve checks and measures the states in
+stacks of consecutive samples, from eigenbasis phases when unitary or from
+exp(L dt) steps of each invariant block of rho otherwise.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .nv_spin import TWO_PI
 SPIN_LABELS = ("plus", "minus", "e")
 PLUS, MINUS, EXCITED = 0, 1, 2
 CHECK_TOL = 1e-9  # trace, hermiticity (x10) and positivity tolerance per sample
+CHUNK_ENTRIES = 2 ** 15  # matrix entries per stack of samples that evolve handles at once
 
 
 class NoOscillationError(RuntimeError):
@@ -145,16 +147,26 @@ def _jump_operators(model: QuantumModel, ch: LindbladChannels):
     return [math.sqrt(rate) * J for rate, J in table if rate > 0.0]
 
 
-def _liouvillian(model: QuantumModel, ch: LindbladChannels) -> np.ndarray:
-    """Superoperator over row-major vec(rho)."""
-    H = model.H
-    d = H.shape[0]
-    eye = np.eye(d)
-    L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+def _sectors(model: QuantumModel):
+    """Index sets that H and every jump operator leave invariant:
+    {|+>, |e>} x Fock and {|->} x Fock."""
+    ladders = np.arange(model.dim).reshape(3, model.N_max + 1)
+    return np.concatenate((ladders[PLUS], ladders[EXCITED])), ladders[MINUS]
+
+
+def _liouvillian(model: QuantumModel, ch: LindbladChannels,
+                 rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Superoperator of the block rho[rows, cols] over its row-major vec.
+
+    rows and cols are each invariant sets of indices (see _sectors), so the
+    block evolves on its own."""
+    Hr, Hc = model.H[np.ix_(rows, rows)], model.H[np.ix_(cols, cols)]
+    er, ec = np.eye(rows.size), np.eye(cols.size)
+    L = -1j * (np.kron(Hr, ec) - np.kron(er, Hc.T))
     for J in _jump_operators(model, ch):
-        JdJ = J.conj().T @ J
-        L += (np.kron(J, J.conj())
-              - 0.5 * np.kron(JdJ, eye) - 0.5 * np.kron(eye, JdJ.T))
+        Jr, Jc = J[np.ix_(rows, rows)], J[np.ix_(cols, cols)]
+        L += (np.kron(Jr, Jc.conj()) - 0.5 * np.kron(Jr.conj().T @ Jr, ec)
+              - 0.5 * np.kron(er, (Jc.conj().T @ Jc).T))
     return L
 
 
@@ -194,26 +206,75 @@ def _as_density_matrix(state: np.ndarray, dim: int) -> np.ndarray:
     return state.copy()
 
 
-def _states(model: QuantumModel, rho0: np.ndarray, times: np.ndarray,
+def _stacks(model: QuantumModel, rho0: np.ndarray, times: np.ndarray,
             channels: LindbladChannels):
-    """Density matrix at each time: exact eigenbasis phases when the run is
-    unitary, repeated products with exp(L dt) when it is dissipative."""
+    """Density matrices at all times as (k, dim, dim) stacks in time order.
+
+    Unitary runs take exact eigenbasis phases.  Dissipative runs step each
+    invariant block of rho with its own exp(L dt), skipping blocks that start
+    at zero (they stay zero), and reuse one buffer for every stack."""
+    k = max(1, CHUNK_ENTRIES // model.dim ** 2)
+    starts = range(0, times.size, k)
     if not any((channels.spin_relaxation_rate, channels.pure_dephasing_rate,
                 channels.phonon_decoherence_rate)):
         evals, V = np.linalg.eigh(model.H)
-        rho_eig = V.conj().T @ rho0 @ V
+        Vh = V.conj().T
+        rho_eig = Vh @ rho0 @ V
         gaps = evals[:, None] - evals[None, :]
-        for t in times:
-            yield V @ (np.exp(-1j * gaps * t) * rho_eig) @ V.conj().T
+        for i in starts:
+            yield V @ (np.exp(-1j * gaps * times[i:i + k, None, None]) * rho_eig) @ Vh
         return
     from scipy.linalg import expm
 
-    P = expm(_liouvillian(model, channels) * (times[1] - times[0]))
-    rho = rho0
-    yield rho
-    for _ in times[1:]:
-        rho = (P @ rho.reshape(-1)).reshape(model.dim, model.dim)
-        yield rho
+    dt = times[1] - times[0]
+    sectors = _sectors(model)
+    blocks = [(rows, cols) for rows in sectors for cols in sectors
+              if rho0[np.ix_(rows, cols)].any()]  # a block that starts at zero stays zero
+    runs = [_block_steps(expm(_liouvillian(model, channels, rows, cols) * dt),
+                         rho0[np.ix_(rows, cols)].reshape(-1), k, times.size)
+            for rows, cols in blocks]
+    stack = np.zeros((k, model.dim, model.dim), dtype=complex)
+    for seqs in zip(*runs):
+        n = len(seqs[0])
+        for (rows, cols), seq in zip(blocks, seqs):
+            stack[:n, rows[:, None], cols] = seq.reshape(n, rows.size, cols.size)
+        yield stack[:n]
+
+
+def _block_steps(P: np.ndarray, vec: np.ndarray, k: int, nt: int):
+    """vec, P @ vec, P @ P @ vec, ... (nt in all), k at a time in one reused array."""
+    seq = np.empty((k, vec.size), dtype=complex)
+    for i in range(0, nt, k):
+        n = min(k, nt - i)
+        for j in range(n):
+            seq[j] = vec
+            vec = P @ vec
+        yield seq[:n]
+
+
+def _trace(stack: np.ndarray) -> np.ndarray:
+    """np.trace of each matrix of a stack, summed in the same order."""
+    return np.diagonal(stack, axis1=-2, axis2=-1).sum(axis=-1)
+
+
+def _check(stack: np.ndarray, times: np.ndarray):
+    """Raise PositivityError for the first sample of the stack that fails the
+    trace, hermiticity or positivity check (tested in that order per sample)."""
+    tr = _trace(stack).real
+    herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    broken = np.flatnonzero((np.abs(tr - 1.0) > CHECK_TOL) | (herm > 10.0 * CHECK_TOL))
+    first = broken[0] if broken.size else len(stack)
+    if first:
+        sane = stack[:first]
+        low = np.linalg.eigvalsh(0.5 * (sane + sane.conj().transpose(0, 2, 1))).min(axis=1)
+        negative = np.flatnonzero(low < -CHECK_TOL)
+        if negative.size:
+            raise PositivityError(f"negative eigenvalue {low[negative[0]]:.2e}")
+    if first == len(stack):
+        return
+    if abs(tr[first] - 1.0) > CHECK_TOL:
+        raise PositivityError(f"trace drifted to {float(tr[first])} at t={times[first]:.3e}")
+    raise PositivityError(f"hermiticity violated by {herm[first]:.2e}")
 
 
 def evolve(model: QuantumModel, initial: np.ndarray, times: np.ndarray,
@@ -221,8 +282,9 @@ def evolve(model: QuantumModel, initial: np.ndarray, times: np.ndarray,
     """Propagate the master equation on a uniform time grid.
 
     Unitary runs (all rates zero) are propagated exactly in the eigenbasis of
-    H; dissipative runs step through the exact exponential of the Liouvillian.
-    Trace, hermiticity and positivity are enforced at every sample.
+    H; dissipative runs step through the exact exponential of the Liouvillian
+    of each invariant block.  Trace, hermiticity and positivity are enforced
+    at every sample; the first sample that fails raises PositivityError.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
@@ -237,20 +299,17 @@ def evolve(model: QuantumModel, initial: np.ndarray, times: np.ndarray,
     energy = np.empty(nt)
     coherence = np.empty(nt, dtype=complex)
     rho0 = _as_density_matrix(initial, model.dim)
-    for i, rho in enumerate(_states(model, rho0, times, channels)):
-        tr = float(np.trace(rho).real)
-        if abs(tr - 1.0) > CHECK_TOL:
-            raise PositivityError(f"trace drifted to {tr} at t={times[i]:.3e}")
-        herm = np.max(np.abs(rho - rho.conj().T))
-        if herm > 10.0 * CHECK_TOL:
-            raise PositivityError(f"hermiticity violated by {herm:.2e}")
-        eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        if eigs.min() < -CHECK_TOL:
-            raise PositivityError(f"negative eigenvalue {eigs.min():.2e}")
-        populations[i] = np.real(np.diag(rho))
-        purity[i] = float(np.real(np.trace(rho @ rho)))
-        energy[i] = float(np.real(np.trace(model.H @ rho)))
-        coherence[i] = np.trace(rho[model.block(PLUS), model.block(EXCITED)])
+    diag = np.arange(model.dim)
+    plus, excited = model.block(PLUS), model.block(EXCITED)
+    i = 0
+    for stack in _stacks(model, rho0, times, channels):
+        done = slice(i, i + len(stack))
+        _check(stack, times[done])
+        populations[done] = stack[:, diag, diag].real
+        purity[done] = _trace(stack @ stack).real
+        energy[done] = _trace(model.H @ stack).real
+        coherence[done] = _trace(stack[:, plus, excited])
+        i = done.stop
 
     return EvolutionResult(times=times, populations=populations, purity=purity,
                            energy=energy, coherence_pe=coherence, model=model)

@@ -115,14 +115,17 @@ _VARIANTS = {
                         "surface_density": ({"sigma_C_m2": 0.0}, {})}),
 }
 
+# end of the string: a schema validator applies a pattern with re.search, where
+# a bare '$' also matches before a final newline
+_END = r"$(?!\n)"
 # 'sphere' | 'prolate' | 'oblate' | 'composite:<c/b>' | 'zero_mass_disk:<c/b>',
 # with c/b a decimal in (0, 1]: 1, a fraction, or either with a negative exponent
 _FRACTION = r"\.[0-9]*[1-9][0-9]*"
 _SHAPE_ID = {"pattern": r"^(sphere|prolate|oblate|(composite|zero_mass_disk):"
                         rf"0*(1(\.0*)?|{_FRACTION}|"
-                        rf"([1-9](\.[0-9]*)?|{_FRACTION})[eE]-0*[1-9][0-9]*))$"}
+                        rf"([1-9](\.[0-9]*)?|{_FRACTION})[eE]-0*[1-9][0-9]*)){_END}"}
 # a label becomes part of a file name: no path separators, dots or spaces
-_LABEL = {"pattern": "^[A-Za-z0-9_-]+$"}
+_LABEL = {"pattern": f"^[A-Za-z0-9_-]+{_END}"}
 _PATTERN_MEANING = {_SHAPE_ID["pattern"]: "a shape id with 0 < c/b <= 1",
                     _LABEL["pattern"]: "letters, digits, '_' and '-' only"}
 _COUNT = {"minimum": 1}

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,3 +291,114 @@ def test_strict_extrema_match_argrelextrema_with_ties():
         maxima, minima = _strict_extrema(p)
         np.testing.assert_array_equal(maxima, argrelextrema(p, np.greater)[0])
         np.testing.assert_array_equal(minima, argrelextrema(p, np.less)[0])
+
+
+# ---------------------------------------------------------------------------
+# PositivityError: the first sample that fails a check, in time order
+# ---------------------------------------------------------------------------
+
+DISSIPATIVE = LindbladChannels(spin_relaxation_rate=0.03 * LAM,
+                               pure_dephasing_rate=0.1 * LAM)
+
+
+@pytest.mark.parametrize("channels", [LindbladChannels(), DISSIPATIVE],
+                         ids=["unitary", "dissipative"])
+def test_initial_state_with_negative_eigenvalue_raises(channels):
+    model = resonant_model(LAM, OMEGA_PHI, N_max=2)
+    rho0 = np.zeros((model.dim, model.dim), dtype=complex)
+    rho0[model.index("plus", 0), model.index("plus", 0)] = 1.5
+    rho0[model.index("e", 0), model.index("e", 0)] = -0.5
+    with pytest.raises(PositivityError, match=r"^negative eigenvalue -5\.00e-01$"):
+        evolve(model, rho0, np.linspace(0.0, 1.0 / LAM, 50), channels)
+
+
+@pytest.mark.parametrize("channels", [LindbladChannels(), DISSIPATIVE],
+                         ids=["unitary", "dissipative"])
+def test_non_hermitian_initial_state_raises(channels):
+    model = resonant_model(LAM, OMEGA_PHI, N_max=2)
+    ip, ie = model.index("plus", 1), model.index("e", 0)
+    rho0 = np.zeros((model.dim, model.dim), dtype=complex)
+    rho0[ip, ip] = 1.0
+    rho0[ip, ie] = 0.1  # without its mirror image
+    with pytest.raises(PositivityError, match=r"^hermiticity violated by 1\.00e-01$"):
+        evolve(model, rho0, np.linspace(0.0, 1.0 / LAM, 50), channels)
+
+
+def test_trace_losing_propagator_raises_at_first_leaky_sample(monkeypatch):
+    model = resonant_model(LAM, OMEGA_PHI, N_max=2)
+    k = quantum_sim.CHUNK_ENTRIES // model.dim ** 2
+    dt, first_bad = 1e-6, k + 40  # past the first stack
+    # exp(-gamma t) falls below 1 - CHECK_TOL halfway between the samples
+    gamma = -math.log1p(-quantum_sim.CHECK_TOL) / ((first_bad - 0.5) * dt)
+    liouvillian = quantum_sim._liouvillian
+
+    def leaky(model, ch, rows, cols):
+        L = liouvillian(model, ch, rows, cols)
+        return L - gamma * np.eye(L.shape[0])
+
+    monkeypatch.setattr(quantum_sim, "_liouvillian", leaky)
+    times = dt * np.arange(3 * k)
+    with pytest.raises(PositivityError, match=r"^trace drifted to 0\.99999999\d* at "
+                       + re.escape(f"t={times[first_bad]:.3e}") + "$"):
+        evolve(model, model.basis_state("plus", 1), times, DISSIPATIVE)
+
+
+def _trace_loss(rho):
+    return (1.0 - 1e-6) * rho
+
+
+def _hermiticity_loss(rho):
+    bad = rho.copy()
+    bad[0, 1] += 1e-6
+    return bad
+
+
+def _negative_eigenvalue(rho):
+    bad = rho.copy()  # |-, 0> is empty in these runs
+    bad[0, 0] += 0.01
+    bad[3, 3] -= 0.01
+    return bad
+
+
+K = quantum_sim.CHUNK_ENTRIES // 81  # samples per stack at N_max 2
+TRACE = r"^trace drifted to 0\.99999\d* at t={t}$"
+
+
+@pytest.mark.parametrize("faults, message", [
+    ({K + 3: _negative_eigenvalue, K + 4: _trace_loss}, r"^negative eigenvalue -1\.00e-02$"),
+    ({K + 3: lambda rho: _trace_loss(_negative_eigenvalue(rho))}, TRACE),
+    ({K + 3: _hermiticity_loss, K + 4: _trace_loss}, r"^hermiticity violated by 1\.00e-06$"),
+    ({K + 3: _trace_loss, K + 4: _hermiticity_loss}, TRACE),
+    ({K + 3: lambda rho: _trace_loss(_hermiticity_loss(rho))}, TRACE),
+    ({K + 3: lambda rho: _hermiticity_loss(_negative_eigenvalue(rho))},
+     r"^hermiticity violated by 1\.00e-06$"),
+    ({K - 1: _negative_eigenvalue, K: _trace_loss}, r"^negative eigenvalue -1\.00e-02$"),
+    ({K - 1: _hermiticity_loss, K: _trace_loss}, r"^hermiticity violated by 1\.00e-06$"),
+    ({2: _negative_eigenvalue, K + 3: _trace_loss}, r"^negative eigenvalue -1\.00e-02$"),
+    ({K + 3: _trace_loss, 2 * K + 1: _negative_eigenvalue}, TRACE),
+], ids=["negative-then-trace", "trace-beats-negative", "hermiticity-then-trace",
+        "trace-then-hermiticity", "trace-beats-hermiticity", "hermiticity-beats-negative",
+        "across-stacks-negative", "across-stacks-hermiticity", "first-stack-wins",
+        "second-stack-wins"])
+@pytest.mark.parametrize("channels", [LindbladChannels(), DISSIPATIVE],
+                         ids=["unitary", "dissipative"])
+def test_first_failing_sample_raises(monkeypatch, channels, faults, message):
+    stacks = quantum_sim._stacks
+
+    def faulty(model, rho0, times, ch):
+        i = 0
+        for stack in stacks(model, rho0, times, ch):
+            stack = stack.copy()
+            for j, fault in faults.items():
+                if i <= j < i + len(stack):
+                    stack[j - i] = fault(stack[j - i])
+            i += len(stack)
+            yield stack
+
+    monkeypatch.setattr(quantum_sim, "_stacks", faulty)
+    model = resonant_model(LAM, OMEGA_PHI, N_max=2)
+    times = 1e-7 * np.arange(3 * K)
+    first = min(faults)
+    with pytest.raises(PositivityError,
+                       match=message.format(t=re.escape(f"{times[first]:.3e}"))):
+        evolve(model, model.basis_state("plus", 1), times, channels)

@@ -220,6 +220,10 @@ FAMILIES = DEFAULT_CONFIG["fig4_curves"]["families"]
 REJECTED += [("fig4_curves.families[1].label",
               {"fig4_curves": {"families": [FAMILIES[0], {**FAMILIES[1], "label": bad}]}})
              for bad in ("../../y", "b 80", "")]
+# a pattern's '$' must not let a final newline through under re.search
+REJECTED += [("fig4_curves.families[1].label",
+              {"fig4_curves": {"families": [FAMILIES[0], {**FAMILIES[1], "label": "x\n"}]}}),
+             ("table1.rows[0]", {"table1": {"rows": ["sphere\n"]}})]
 
 
 @pytest.fixture(scope="module")
@@ -433,6 +437,37 @@ def test_spin_resonance_coupling_jc_verbs(tmp_path, capsys):
     assert len(header) == 2 + 3 * 3  # three spin levels x three phonon levels
     header, body, _ = read_csv(out / "jc_summary.csv")
     assert "strong" in header
+
+
+# a dissipative full_rabi run whose dense Liouvillian (|L dt|_1 ~ 4e4, set by
+# the uncoupled |-> ladder) drifted the trace past CHECK_TOL near t = 3.26 ms
+DRIFT_CONFIG = {
+    "particle": {"shape": "oblate", "b_m": 3.515905993045629e-08,
+                 "a_m": 1.0857222830961848e-07},
+    "charge": {"mode": "total", "Qtot_e": 360.22274538914144},
+    "spin": {"B_T": 0.09673139811768379},
+    "resonance": {"OmegaR_Hz": 104587316.00753169, "omega_phi_Hz": 7219775.0085008545,
+                  "solve_for": "detuning"},
+    "coupling": {"omega_phi_Hz": 7219775.0085008545},
+    "decoherence": {"T1_s": 0.059844432485956035, "T2star_s": 0.02068572199099789},
+    "jc_sim": {"N_max": 3, "kind": "full_rabi", "initial_spin": "plus", "initial_n": 1,
+               "n_transfers": 4.74727008865978, "samples": 1043,
+               "phonon_rate_per_s": 6.339214281839463, "use_decoherence": True},
+}
+
+
+def test_dissipative_full_rabi_keeps_its_trace(tmp_path, monkeypatch):
+    from levrot import quantum_sim
+
+    results = []
+    evolve = quantum_sim.evolve
+    monkeypatch.setattr(quantum_sim, "evolve",
+                        lambda *args: results.append(evolve(*args)) or results[-1])
+    code, out = run_cli(tmp_path, "jc-sim", config=DRIFT_CONFIG)
+    assert code == 0
+    assert (out / "jc_populations.csv").exists()
+    drift = np.max(np.abs(results[0].populations.sum(axis=1) - 1.0))
+    assert drift <= 0.1 * quantum_sim.CHECK_TOL
 
 
 def test_bad_config_fails_cleanly(tmp_path, capsys):

@@ -41,6 +41,21 @@ NAMED = {
                     "phonon_rate_per_s": 1000.0, "initial_spin": "e", "initial_n": 2}},
         ("jc-sim",)),
     "jc_dissipative": ({"jc_sim": {"N_max": 4, "use_decoherence": True}}, ("jc-sim",)),
+    # a dissipative full_rabi run whose trace drifted past the check tolerance
+    # under the dense Liouvillian
+    "jc_trace_drift": (
+        {"particle": {"shape": "oblate", "b_m": 3.515905993045629e-08,
+                      "a_m": 1.0857222830961848e-07},
+         "charge": {"mode": "total", "Qtot_e": 360.22274538914144},
+         "spin": {"B_T": 0.09673139811768379},
+         "resonance": {"OmegaR_Hz": 104587316.00753169,
+                       "omega_phi_Hz": 7219775.0085008545, "solve_for": "detuning"},
+         "coupling": {"omega_phi_Hz": 7219775.0085008545},
+         "decoherence": {"T1_s": 0.059844432485956035, "T2star_s": 0.02068572199099789},
+         "jc_sim": {"N_max": 3, "kind": "full_rabi", "initial_spin": "plus", "initial_n": 1,
+                    "n_transfers": 4.74727008865978, "samples": 1043,
+                    "phonon_rate_per_s": 6.339214281839463, "use_decoherence": True}},
+        ("jc-sim",)),
     "composite": ({"particle": {"shape": "composite", "b_m": 2e-8, "a_m": 5e-8,
                                 "c_m": 2.5e-9}},
                   ("fig2-map", "dynamics", "coupling", "jc-sim")),
