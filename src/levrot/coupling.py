@@ -11,7 +11,7 @@ import numpy as np
 from .constants import PhysicalConstants, DEFAULT_CONSTANTS
 from .geometry import BodyProperties
 from .nv_spin import (MixedSpinSpectrum, DressedSpectrum, SpinConfig,
-                      resonance_solve, resonance_K, resonance_detuning,
+                      mixing_angle, resonance_solve, resonance_K, resonance_detuning,
                       ResonanceUnreachableError, TWO_PI)
 
 RABI_TECHNICAL_CAP = 1.0e9  # Hz; driving much beyond this is impractical
@@ -137,8 +137,7 @@ class CouplingMap:
 def bare_rate_vs_field(mode: RotationalMode, B, constants: PhysicalConstants):
     """gamma*B*phi0*cos(theta(B)) as an array over B (Hz)."""
     B = np.asarray(B, dtype=float)
-    x = 2.0 * constants.gamma_nv * B / constants.zero_field_splitting_D
-    theta = 0.5 * np.arctan(x)
+    theta = mixing_angle(B, constants.zero_field_splitting_D, constants.gamma_nv)
     return constants.gamma_nv * B * mode.phi0 * np.cos(theta)
 
 

@@ -1,6 +1,7 @@
 """NV ground-state spin in a transverse field: mixed states, microwave dressing,
 spin operators in the mixed basis and the closed-form spin-phonon resonance
-solver, whose broadcastable e-d gap, K and detuning the coupling maps share.
+solver, whose broadcastable mixing angle, e-d gap, K and detuning the coupling
+maps share.
 
 All energies are handled internally as angular frequencies (rad/s); inputs
 that are conventionally quoted in ordinary frequency (D, gamma*B, Rabi
@@ -129,7 +130,7 @@ def _mixed_basis(theta: float) -> np.ndarray:
 
 def mixed_spectrum(config: SpinConfig) -> MixedSpinSpectrum:
     x = 2.0 * config.gamma * config.B / config.D
-    theta = 0.5 * math.atan(x)
+    theta = float(mixing_angle(config.B, config.D, config.gamma))
     root = math.sqrt(1.0 + x * x)
     omega_g = TWO_PI * config.D * (1.0 - root) / 2.0
     omega_e = TWO_PI * config.D * (1.0 + root) / 2.0
@@ -143,6 +144,12 @@ def spin_operators_mixed_basis(theta: float):
     """(S_x, S_y, S_z) rotated into the {|g>, |d>, |e>} basis for mixing angle theta."""
     U = _mixed_basis(theta)
     return tuple(U.conj().T @ S @ U for S in (S_X, S_Y, S_Z))
+
+
+def mixing_angle(B, D: float, gamma: float):
+    """Mixing angle theta (rad) at field B (T), tan 2theta = 2 gamma B / D,
+    broadcast over B."""
+    return 0.5 * np.arctan(2.0 * gamma * np.asarray(B, dtype=float) / D)
 
 
 def ed_gap(B, D: float, gamma: float):

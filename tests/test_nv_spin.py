@@ -6,7 +6,7 @@ import pytest
 from levrot.nv_spin import (SpinConfig, MicrowaveConfig, ResonanceUnreachableError,
                             mixed_spectrum, dressed_spectrum, resonance_solve,
                             spin_operators_mixed_basis, hamiltonian_lab,
-                            ed_gap, S_X, S_Y, S_Z, TWO_PI)
+                            ed_gap, mixing_angle, S_X, S_Y, S_Z, TWO_PI)
 
 D = 2.87e9
 GAMMA = 28.024e9
@@ -50,6 +50,18 @@ def test_reference_field_splitting():
     m = mixed_spectrum(SpinConfig(B=0.03))
     assert (m.omega_e - m.omega_d) / TWO_PI == pytest.approx(228.14e6, rel=1e-3)
     assert m.theta == pytest.approx(0.5 * math.atan(2 * GAMMA * 0.03 / D), rel=1e-14)
+
+
+def test_one_mixing_angle_for_scalar_and_array_chains():
+    # mixed_spectrum and the vectorised coupling maps read the same theta, bit
+    # for bit; math.atan and np.arctan differ in the last bit at some fields
+    fields = np.linspace(0.0, 0.1, 20001)
+    thetas = mixing_angle(fields, D, GAMMA)
+    assert thetas.shape == fields.shape
+    assert [mixed_spectrum(SpinConfig(B=float(B), D=D, gamma=GAMMA)).theta
+            for B in fields] == thetas.tolist()
+    assert mixing_angle(0.03, D, GAMMA) == pytest.approx(
+        0.5 * math.atan(2 * GAMMA * 0.03 / D), rel=1e-15)
 
 
 def test_dressed_resonant_drive():
