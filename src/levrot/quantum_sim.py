@@ -5,19 +5,21 @@ omega_phi on the basis {|+>, |->, |e>} x {|0> .. |N_max>} that
 QuantumModel.index lays out.  Dimensions stay small (3*(N_max+1) <= a few
 tens), so propagation is exact: evolve checks and measures the states in
 stacks of consecutive samples, from eigenbasis phases when unitary or from
-exp(L dt) steps of each invariant block of rho otherwise.
+exp(L dt) steps of each invariant block of rho otherwise.  The exchange
+frequency is the strongest matrix-pencil pole of a spin population
+(spectral.dominant_pole); only dissipative runs load scipy, for expm.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coupling import DecoherenceBudget
 from .nv_spin import TWO_PI
+from .spectral import NoLineError, dominant_pole
 
 SPIN_LABELS = ("plus", "minus", "e")
 PLUS, MINUS, EXCITED = 0, 1, 2
@@ -26,7 +28,7 @@ CHUNK_ENTRIES = 2 ** 15  # matrix entries per stack of samples that evolve handl
 
 
 class NoOscillationError(RuntimeError):
-    """Fewer than three population extrema: no exchange frequency to fit."""
+    """No pole in the band, or the strongest one is no stronger than the misfit."""
 
 
 @dataclass(frozen=True)
@@ -319,55 +321,20 @@ def evolve(model: QuantumModel, initial: np.ndarray, times: np.ndarray,
 # exchange-rate extraction
 # ---------------------------------------------------------------------------
 
-def _strict_extrema(p: np.ndarray):
-    """Interior indices strictly above (maxima) or below (minima) both neighbours."""
-    inner, left, right = p[1:-1], p[:-2], p[2:]
-    return (np.flatnonzero((inner > left) & (inner > right)) + 1,
-            np.flatnonzero((inner < left) & (inner < right)) + 1)
-
-
-def curve_fit(*args, **kwargs):
-    """scipy.optimize.curve_fit, imported on first use; exchange_frequency
-    looks it up here, so the fit can be observed by patching this name."""
-    from scipy.optimize import curve_fit as fit
-    return fit(*args, **kwargs)
-
-
 def exchange_frequency(result: EvolutionResult, spin: str = "e") -> float:
-    """Population-oscillation frequency (Hz) from a damped-cosine fit.
+    """Population-oscillation frequency (Hz) of one spin level.
 
-    Requires at least three visible extrema; the FFT peak seeds the fit.
+    The strongest matrix-pencil pole (spectral.dominant_pole) of the
+    population between 1/duration and the Nyquist frequency.
     """
     t = result.times
-    p = result.spin_population(spin)
-    maxima, minima = _strict_extrema(p)
-    if maxima.size + minima.size < 3:
-        raise NoOscillationError(
-            f"only {maxima.size + minima.size} extrema found, need >= 3")
-
-    y = p - p.mean()
-    spec = np.abs(np.fft.rfft(y * np.hanning(y.size)))
-    freqs = np.fft.rfftfreq(y.size, d=t[1] - t[0])
-    k = 1 + int(np.argmax(spec[1:]))
-    f0 = freqs[k]
-
-    def damped(tt, amp, f, phase, rate, offset):
-        return amp * np.cos(TWO_PI * f * tt + phase) * np.exp(-rate * tt) + offset
-
-    from scipy.optimize import OptimizeWarning
-
-    p0 = [0.5 * (p.max() - p.min()), f0, 0.0, 0.0, p.mean()]
+    dt = t[1] - t[0]
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(damped, t, p, p0=p0, maxfev=20000)
-        f_fit = abs(popt[1])
-    except RuntimeError:
-        f_fit = f0
-    # guard against the fit wandering off the spectral estimate
-    if f0 > 0.0 and not (0.5 * f0 <= f_fit <= 2.0 * f0):
-        f_fit = f0
-    return float(f_fit)
+        pole = dominant_pole(result.spin_population(spin), dt, 1.0 / (t[-1] - t[0]),
+                             0.5 / dt)
+    except NoLineError as exc:
+        raise NoOscillationError(str(exc)) from None
+    return pole.frequency
 
 
 def thermal_initial_state(model: QuantumModel, spin, mean_occupation: float) -> np.ndarray:

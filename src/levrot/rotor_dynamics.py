@@ -4,7 +4,9 @@ The linear (Mathieu) model of each angle is built from one drive period of
 trap._period_flow as x(nT + s) = Phi(s) M^n x(0); the nonlinear one keeps the
 full trigonometric torque (cos(phi2) sin(2 phi1) and cos^2(phi1) sin(2 phi2)),
 whose linearization reproduces the linear model exactly, under solve_ivp.
-Spin about the symmetry axis is held at zero throughout.
+Spin about the symmetry axis is held at zero throughout.  The secular
+frequency of a trajectory is its strongest matrix-pencil pole below half the
+drive frequency (spectral.dominant_pole).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import BodyProperties
+from .spectral import NoLineError, dominant_pole
 from .trap import TrapConfig, Mode, _period_flow, mathieu_coefficients
 
 ANGLE_LIMIT = 0.5 * math.pi  # beyond this the small-angle model is meaningless
@@ -22,7 +25,7 @@ MIN_SPECTRAL_SAMPLES = 1 << 10
 
 
 class PeakExtractionError(RuntimeError):
-    """No secular spectral peak could be isolated above the noise floor."""
+    """No pole in the band, or the strongest one is no stronger than the misfit."""
 
 
 @dataclass(frozen=True)
@@ -160,11 +163,11 @@ def simulate_mathieu(a: float, q: float, drive_frequency: float, init: RotorStat
 # ---------------------------------------------------------------------------
 
 def extract_secular_frequency(traj: Trajectory, component: str | None = None) -> float:
-    """Dominant sub-drive spectral line of a stable trajectory, in rad/s.
+    """Strongest spectral line of a stable trajectory, in rad/s.
 
-    The search window sits below half the drive frequency, which excludes the
-    drive line and its secular sidebands; the peak is refined by parabolic
-    interpolation of the windowed spectrum.
+    The line is the strongest matrix-pencil pole (spectral.dominant_pole)
+    between 1/duration and half the drive frequency, which excludes the
+    drive line and its secular sidebands.
     """
     if traj.unstable:
         raise PeakExtractionError("trajectory flagged unstable")
@@ -174,32 +177,12 @@ def extract_secular_frequency(traj: Trajectory, component: str | None = None) ->
 
     if component is None:
         component = "phi1" if np.var(traj.phi1) >= np.var(traj.phi2) else "phi2"
-    y = getattr(traj, component).astype(float)
-    y = y - y.mean()
-    n = y.size
-    window = np.hanning(n)
-    spec = np.abs(np.fft.rfft(y * window))
-    freqs = np.fft.rfftfreq(n, d=traj.sample_interval)  # Hz
-
+    dt = traj.sample_interval
     drive = traj.metadata.get("drive_frequency_radps")
-    f_max = drive / (4.0 * math.pi) if drive else freqs[-1]  # half the drive, in Hz
-    band = (freqs > 0.0) & (freqs < f_max)
-    if not band.any():
-        raise PeakExtractionError("empty search band below the drive frequency")
-
-    idx = np.flatnonzero(band)
-    k = idx[np.argmax(spec[idx])]
-    noise = np.median(spec[band])
-    if spec[k] < 10.0 * max(noise, 1e-300):
-        raise PeakExtractionError("no spectral peak above the noise floor")
-
-    # parabolic refinement on log magnitude
-    if 0 < k < spec.size - 1 and spec[k - 1] > 0.0 and spec[k + 1] > 0.0:
-        lm, l0, lp = np.log(spec[k - 1]), np.log(spec[k]), np.log(spec[k + 1])
-        denom = lm - 2.0 * l0 + lp
-        delta = 0.5 * (lm - lp) / denom if denom != 0.0 else 0.0
-        delta = min(0.5, max(-0.5, delta))
-    else:
-        delta = 0.0
-    f_peak = (k + delta) * (freqs[1] - freqs[0])
-    return 2.0 * math.pi * f_peak
+    f_max = drive / (4.0 * math.pi) if drive else 0.5 / dt  # half the drive, in Hz
+    try:
+        pole = dominant_pole(getattr(traj, component), dt,
+                             1.0 / (traj.times[-1] - traj.times[0]), f_max)
+    except NoLineError as exc:
+        raise PeakExtractionError(str(exc)) from None
+    return 2.0 * math.pi * pole.frequency

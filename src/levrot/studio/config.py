@@ -2,7 +2,7 @@
 
 DEFAULT_CONFIG holds the defaults (the 20 nm prolate scenario), and each key
 takes its default's JSON type.  The tables below it add what a default cannot
-say: allowed strings, inclusive bounds, the shape-id and file-name label
+say: allowed strings, bounds, the shape-id and file-name label
 grammars and the keys of the sections a document replaces wholesale.
 RunConfig checks a document against the schema built from both, naming the
 dotted key in any error, and write_schema publishes it as
@@ -129,9 +129,11 @@ _LABEL = {"pattern": f"^[A-Za-z0-9_-]+{_END}"}
 _PATTERN_MEANING = {_SHAPE_ID["pattern"]: "a shape id with 0 < c/b <= 1",
                     _LABEL["pattern"]: "letters, digits, '_' and '-' only"}
 _COUNT = {"minimum": 1}
+_POSITIVE = {"minimum": 0, "exclusiveMinimum": True}
 _ANGLE = {"minimum": -ANGLE_LIMIT, "maximum": ANGLE_LIMIT}  # small-angle rotor model
 
-# per-key schema keywords; a list's items are keyed '<list>[]', bounds are inclusive
+# per-key schema keywords; a list's items are keyed '<list>[]', bounds are
+# inclusive unless declared exclusive (draft 4: a boolean beside the bound)
 _DECLARED = {
     "dynamics.model": {"enum": ["linear", "nonlinear"]},
     "resonance.solve_for": {"enum": ["field", "detuning"]},
@@ -143,6 +145,7 @@ _DECLARED = {
     # the dynamics verb extracts a spectral line; evolve needs a time grid
     "dynamics.samples": {"minimum": MIN_SPECTRAL_SAMPLES},
     "jc_sim.samples": {"minimum": 2},
+    "dynamics.n_secular_periods": _POSITIVE, "jc_sim.n_transfers": _POSITIVE,
     "dynamics.phi1_0_rad": _ANGLE, "dynamics.phi2_0_rad": _ANGLE,
     "table1.rows[]": _SHAPE_ID, "fig4_curves.families[].shapes[]": _SHAPE_ID,
     "fig4_curves.families[].label": _LABEL,
@@ -196,8 +199,11 @@ def _check(value, node: dict, path: str = ""):
         raise ConfigError(f"{path} must be a finite number, got {value!r}")
     if "enum" in node and value not in node["enum"]:
         raise ConfigError(f"{path} must be one of {node['enum']}, got {value!r}")
-    if "minimum" in node and not value >= node["minimum"]:
-        raise ConfigError(f"{path} must be >= {node['minimum']}, got {value!r}")
+    if "minimum" in node:
+        exclusive = node.get("exclusiveMinimum", False)
+        if not (value > node["minimum"] if exclusive else value >= node["minimum"]):
+            raise ConfigError(f"{path} must be {'>' if exclusive else '>='} "
+                              f"{node['minimum']}, got {value!r}")
     if "maximum" in node and not value <= node["maximum"]:
         raise ConfigError(f"{path} must be <= {node['maximum']}, got {value!r}")
     if "pattern" in node and not re.fullmatch(node["pattern"], value):

@@ -10,7 +10,7 @@ from levrot.nv_spin import TWO_PI
 from levrot.quantum_sim import (QuantumModel, LindbladChannels, EvolutionResult,
                                 NoOscillationError, PositivityError, build_model,
                                 resonant_model, evolve, exchange_frequency,
-                                thermal_initial_state, SPIN_LABELS, _strict_extrema)
+                                thermal_initial_state, SPIN_LABELS)
 
 LAM = 57e3                 # Hz, reference exchange rate
 OMEGA_PHI = TWO_PI * 5e6   # rad/s
@@ -144,48 +144,6 @@ def test_exchange_frequency_synthetic():
     assert exchange_frequency(result) == pytest.approx(2 * LAM, rel=1e-3)
 
 
-def _exchange_result():
-    """|e, 0> population sin^2(2 pi LAM t): exchange at 2 LAM over 5.7 periods."""
-    times = np.linspace(0.0, 5e-5, 4096)
-    populations = np.zeros((times.size, 6))
-    populations[:, 4] = np.sin(TWO_PI * LAM * times) ** 2
-    populations[:, 0] = 1.0 - populations[:, 4]
-    return EvolutionResult(times=times, populations=populations,
-                           purity=np.ones(times.size), energy=np.zeros(times.size),
-                           coherence_pe=np.zeros(times.size, complex),
-                           model=resonant_model(LAM, OMEGA_PHI, N_max=1))
-
-
-def _fail(*args, **kwargs):
-    raise RuntimeError("Optimal parameters not found")
-
-
-def test_exchange_frequency_falls_back_to_fft_bin(monkeypatch):
-    result = _exchange_result()
-    fitted = exchange_frequency(result)
-    monkeypatch.setattr(quantum_sim, "curve_fit", _fail)
-    f_bin = exchange_frequency(result)
-    width = 1.0 / (result.times.size * (result.times[1] - result.times[0]))
-    assert f_bin / width == pytest.approx(round(f_bin / width), rel=0.0, abs=1e-9)
-    assert abs(f_bin - 2 * LAM) <= width
-    assert abs(fitted - 2 * LAM) < 1e-3 * LAM < abs(f_bin - fitted)
-
-
-@pytest.mark.parametrize("factor, kept", [(0.4, False), (2.5, False), (1.5, True),
-                                          (-1.5, True)])
-def test_exchange_frequency_guards_the_fit(monkeypatch, factor, kept):
-    # a fit more than a factor 2 away from the FFT bin (p0[1]) is replaced by the bin
-    result = _exchange_result()
-    monkeypatch.setattr(quantum_sim, "curve_fit", _fail)
-    f_bin = exchange_frequency(result)
-
-    def wander(func, t, p, p0, **kwargs):
-        return np.array([p0[0], factor * p0[1], 0.0, 0.0, p0[4]]), None
-
-    monkeypatch.setattr(quantum_sim, "curve_fit", wander)
-    assert exchange_frequency(result) == (abs(factor) * f_bin if kept else f_bin)
-
-
 def test_exchange_frequency_needs_oscillation():
     times = np.linspace(0.0, 1e-5, 256)
     populations = np.zeros((times.size, 6))
@@ -277,20 +235,6 @@ def test_spin_labels_cover_basis():
     model = resonant_model(LAM, OMEGA_PHI, N_max=2)
     assert model.dim == 9
     assert [model.index(s, 0) for s in SPIN_LABELS] == [0, 3, 6]
-
-
-def test_strict_extrema_match_argrelextrema_with_ties():
-    from scipy.signal import argrelextrema
-
-    rng = np.random.default_rng(11)
-    cases = [[], [1.0], [1.0, 2.0], [0, 1, 1, 0], [1, 0, 0, 1], [2, 2, 2],
-             [0, 1, 0, 1, 0], [3, 1, 2, 2, 1, 3]]
-    cases += [rng.integers(0, 3, size=n) for n in rng.integers(3, 40, size=200)]
-    for p in cases:
-        p = np.asarray(p, dtype=float)
-        maxima, minima = _strict_extrema(p)
-        np.testing.assert_array_equal(maxima, argrelextrema(p, np.greater)[0])
-        np.testing.assert_array_equal(minima, argrelextrema(p, np.less)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,14 @@ REJECTED += [("fig4_curves.families[1].label",
 REJECTED += [("fig4_curves.families[1].label",
               {"fig4_curves": {"families": [FAMILIES[0], {**FAMILIES[1], "label": "x\n"}]}}),
              ("table1.rows[0]", {"table1": {"rows": ["sphere\n"]}})]
+# every exclusive lower bound (section, key, bound): the bound and below are
+# refused, the next double up is not
+EXCLUSIVE = [("dynamics", "n_secular_periods", 0), ("jc_sim", "n_transfers", 0)]
+EXCLUSIVE_CASES = []
+for section, key, bound in EXCLUSIVE:
+    EXCLUSIVE_CASES += [(f"{section}.{key}", {section: {key: float(bound)}}),
+                        (f"{section}.{key}", {section: {key: bound - 5.0}}),
+                        (None, {section: {key: math.nextafter(bound, math.inf)}})]
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +241,8 @@ def published_schema(tmp_path_factory):
     return json.loads(path.read_text())
 
 
-@pytest.mark.parametrize("key, doc", [(None, doc) for doc in ACCEPTED] + REJECTED)
+@pytest.mark.parametrize("key, doc",
+                         [(None, doc) for doc in ACCEPTED] + REJECTED + EXCLUSIVE_CASES)
 def test_code_and_schema_agree(key, doc, published_schema):
     if key is None:
         RunConfig(doc)
@@ -254,7 +263,17 @@ def test_every_declared_bound_is_tested(published_schema):
                 for section, node in published_schema["properties"].items()
                 for key, leaf in node.get("properties", {}).items()
                 for side in ("minimum", "maximum") if side in leaf}
-    assert declared == set(BOUNDS)
+    exclusive = {(section, key, bound) for section, key, side, bound in declared
+                 if published_schema["properties"][section]["properties"][key]
+                 .get("exclusiveMinimum")}
+    assert declared - {(s, k, "minimum", b) for s, k, b in exclusive} == set(BOUNDS)
+    assert exclusive == set(EXCLUSIVE)
+
+
+def test_exclusive_minimum_refuses_the_bound():
+    with pytest.raises(ConfigError, match=r"^jc_sim\.n_transfers must be > 0, got 0\.0$"):
+        RunConfig({"jc_sim": {"n_transfers": 0.0}})
+    assert RunConfig({"jc_sim": {"n_transfers": 5e-324}}).document["jc_sim"]["n_transfers"] > 0
 
 
 def test_committed_schema_is_current(tmp_path):
@@ -273,7 +292,7 @@ def test_committed_schema_is_current(tmp_path):
     ("thermal", {"thermal": {"cases": [{**DEFAULT_CONFIG["thermal"]["cases"][0], "T": 4.0}]}},
      "thermal.csv"),
     ("table1", {"trap": {"Vac_V": math.nan}}, "table1.csv"),
-    # too few samples for three extrema: the fit fails before any table is written
+    # too few samples for a line in band: extraction fails before any table is written
     ("jc-sim", {"jc_sim": {"N_max": 2, "samples": 5}}, "jc_populations.csv"),
     # a start on the angle limit leaves the linear model at once
     ("dynamics", {"dynamics": {"phi1_0_rad": math.pi / 2, "samples": 1024}},
@@ -301,6 +320,10 @@ def test_committed_schema_is_current(tmp_path):
         {**DEFAULT_CONFIG["fig4_curves"]["families"][0], "label": "x"},
         {**DEFAULT_CONFIG["fig4_curves"]["families"][1], "label": "X"}]}},
      "fig4_curves_x.csv"),
+    # a run must last a positive time
+    ("dynamics", {"dynamics": {"n_secular_periods": -5.0}}, "dynamics_trajectory.csv"),
+    ("dynamics", {"dynamics": {"n_secular_periods": 0.0}}, "dynamics_trajectory.csv"),
+    ("jc-sim", {"jc_sim": {"n_transfers": 0.0}}, "jc_populations.csv"),
 ])
 def test_rejected_config_writes_nothing(tmp_path, capsys, verb, config, output):
     code, out = run_cli(tmp_path, verb, config=config)
@@ -583,8 +606,10 @@ LOADED = ("sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.
 def test_cli_import_and_table1_load_no_scipy(tmp_path):
     # scipy (and the process pool) load only inside the verbs that use them
     assert fresh_python(f"import sys, levrot.studio.cli; print({LOADED})") == "[]"
-    probe = ("import sys, levrot.studio.cli; "
-             f"code = levrot.studio.cli.main(['--out', {str(tmp_path)!r}, 'table1']); "
-             f"print(code, {LOADED})")
-    assert fresh_python(probe).splitlines()[-1] == "0 []"
+    for verb in ("table1", "jc-sim"):  # the default jc-sim run is unitary
+        probe = ("import sys, levrot.studio.cli; "
+                 f"code = levrot.studio.cli.main(['--out', {str(tmp_path)!r}, {verb!r}]); "
+                 f"print(code, {LOADED})")
+        assert fresh_python(probe).splitlines()[-1] == "0 []", verb
     assert (tmp_path / "table1.csv").read_bytes() == (GOLDEN / "table1.csv").read_bytes()
+    assert (tmp_path / "jc_summary.csv").exists()

@@ -62,6 +62,8 @@ NAMED = {
     "surface_density": ({"charge": {"mode": "surface_density", "sigma_C_m2": 1e-6}},
                         ("dynamics", "coupling")),
     "nonlinear_dynamics": ({"dynamics": {"model": "nonlinear"}}, ("dynamics",)),
+    # a decaying linear trajectory, where the spectral estimators differ most
+    "damped_dynamics": ({"dynamics": {"gamma_per_s": 5.0e5}}, ("dynamics",)),
 }
 
 _RUN = "import sys; from levrot.studio.cli import main; sys.exit(main(sys.argv[1:]))"
