@@ -231,7 +231,12 @@ def cmd_stability_chart(cfg: RunConfig, ctx: OutputContext):
 
 
 def cmd_dynamics(cfg: RunConfig, ctx: OutputContext):
-    """Time-domain trajectory plus extracted-vs-formula frequency comparison."""
+    """Time-domain trajectory plus extracted-vs-formula frequency comparison.
+
+    relative_error compares the extracted line with the small-angle secular
+    formula; for a nonlinear run the line also depends on the amplitude, so
+    it measures the departure from the small-angle model, not solver error.
+    """
     dyn = cfg.document["dynamics"]
     tc = cfg.trap_config()
     body = _body_from_config(cfg, ctx.constants)

@@ -11,7 +11,8 @@ round-trip form), so identical inputs give byte-identical files, bools as
 rows are joined and written CHUNK_ROWS at a time, so no list of the whole
 table's lines is built.  JSON writes non-finite floats as null.  Every file
 ends with comment lines carrying the package version, the config hash and
-the constants in force.
+the constants in force.  A file already at the output path is replaced, not
+rewritten in place.
 """
 
 from __future__ import annotations
@@ -56,9 +57,16 @@ def _json_cells(column: np.ndarray) -> list:
 
 def write_table(path: Path, columns: list[str], rows, config_hash: str,
                 constants: PhysicalConstants, fmt: str = "csv") -> Path:
-    """Write a structured array whose fields are ``columns`` as CSV or JSON."""
+    """Write a structured array whose fields are ``columns`` as CSV or JSON.
+
+    An existing file (or link) at ``path`` is unlinked first and a new one is
+    written, never truncated and rewritten in place.
+    """
     path = Path(path)
     fields = rows.dtype.names
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown output format {fmt!r}")
+    path.unlink(missing_ok=True)
     if fmt == "csv":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(columns) + "\n")
@@ -76,6 +84,4 @@ def write_table(path: Path, columns: list[str], rows, config_hash: str,
         }
         text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
         path.write_text(text + "\n", encoding="utf-8")
-    else:
-        raise ValueError(f"unknown output format {fmt!r}")
     return path

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from levrot.rotor_dynamics import (ANGLE_LIMIT, RotorState, DampingModel, Trajec
                                    simulate_linear, simulate_nonlinear,
                                    simulate_mathieu, extract_secular_frequency,
                                    PeakExtractionError, _angle_coefficients)
+from levrot.studio.cli import main
 from levrot.trap import (TrapConfig, Mode, MathieuCoefficients,
                          mathieu_coefficients, secular_frequency,
                          floquet_stability)
@@ -144,6 +146,86 @@ def test_nonlinear_agrees_with_linear_at_small_angle(prolate20, trap50):
     lin = extract_secular_frequency(
         simulate_linear(prolate20, trap50, init, duration, samples=4096))
     assert lin == pytest.approx(freqs[1], rel=5e-3)
+
+
+def test_nonlinear_matches_independent_integration(prolate20):
+    # damped, both angles at large amplitude with their own (a, q) and
+    # non-zero start velocities, against LSODA on a right-hand side written
+    # here; 7.3 secular periods, so samples fall anywhere in a drive period
+    body = dataclasses.replace(prolate20, I_X=0.6 * prolate20.I_X)
+    trap = TrapConfig(V_ac=5000.0, V_dc=50.0, drive_frequency=W50, z0=10e-6)
+    (a1, a2), (q1, q2) = _angle_coefficients(body, trap)
+    omega = secular_frequency(mathieu_coefficients(body, trap, Mode.ROT_Y), trap).omega
+    gamma = omega / 30.0
+    init = RotorState(phi1=0.4, phi2=-0.25, dphi1=0.05 * omega, dphi2=-0.03 * omega)
+    duration = 7.3 * TWO_PI / omega
+    traj = simulate_nonlinear(body, trap, init, duration, DampingModel(gamma), samples=1000)
+    assert not traj.unstable and traj.times.size == 1000
+
+    k = 0.125 * W50 * W50
+
+    def rhs(t, y):
+        drive = 2.0 * math.cos(W50 * t)
+        return [y[2], y[3],
+                k * (-a1 + q1 * drive) * math.cos(y[1]) * math.sin(2.0 * y[0]) - gamma * y[2],
+                k * (-a2 + q2 * drive) * math.cos(y[0]) ** 2 * math.sin(2.0 * y[1])
+                - gamma * y[3]]
+
+    ref = solve_ivp(rhs, (0.0, duration), [init.phi1, init.phi2, init.dphi1, init.dphi2],
+                    method="LSODA", rtol=1e-12, atol=1e-16, t_eval=traj.times)
+    assert ref.success
+    got = [traj.phi1, traj.phi2, traj.dphi1, traj.dphi2]
+    for column, want in zip(got, ref.y):
+        np.testing.assert_allclose(column, want, rtol=0.0,
+                                   atol=1e-7 * np.max(np.abs(want)))
+
+
+# (V_ac, drive periods, samples, start, gamma) -> samples kept, as the
+# terminal-event rule of the solve_ivp integrator this one replaced kept them
+UNSTABLE_CASES = [
+    ((20000.0, 200, 2048, (0.01, 0.005, 0.0, 0.0), 0.0), 43),
+    ((30000.0, 100, 4096, (0.2, -0.1, 0.0, 0.0), 0.0), 47),
+    ((25000.0, 300, 300, (0.0, 0.05, 0.0, 2e5), 3e5), 4),
+]
+
+
+@pytest.mark.parametrize("case, kept", UNSTABLE_CASES)
+def test_nonlinear_unstable_drive_stops_at_the_angle_limit(prolate20, case, kept):
+    V_ac, periods, samples, start, gamma = case
+    trap = TrapConfig(V_ac=V_ac, V_dc=0.0, drive_frequency=W50, z0=10e-6)
+    assert _angle_coefficients(prolate20, trap)[1][0] > 0.95  # beyond the first region
+    traj = simulate_nonlinear(prolate20, trap, RotorState(*start),
+                              periods * TWO_PI / W50, DampingModel(gamma), samples=samples)
+    assert traj.unstable and traj.times.size == kept
+    assert max(np.max(np.abs(traj.phi1)), np.max(np.abs(traj.phi2))) <= ANGLE_LIMIT
+    np.testing.assert_array_equal(
+        traj.times, np.linspace(0.0, periods * TWO_PI / W50, samples)[:kept])
+
+
+@pytest.mark.parametrize("key", ["phi1_0_rad", "phi2_0_rad"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_nonlinear_start_at_the_angle_limit_is_unstable(tmp_path, capsys, key, sign):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"dynamics": {"model": "nonlinear", key: sign * ANGLE_LIMIT}}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "dynamics"]) == 1
+    assert "trajectory flagged unstable" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "dynamics_trajectory.csv").exists()
+
+
+def test_nonlinear_runs_are_bit_identical(prolate20, trap50):
+    init = RotorState(phi1=0.3, phi2=0.1, dphi1=1e5, dphi2=0.0)
+    runs = [simulate_nonlinear(prolate20, trap50, init, 2e-6, DampingModel(1e5),
+                               samples=1024) for _ in range(2)]
+    for name in ("times", "phi1", "phi2", "dphi1", "dphi2"):
+        assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes()
+
+
+def test_nonlinear_sparse_samples_need_no_step_limit(prolate20, trap50):
+    # 1000 drive periods in 7 sample intervals, about 2800 steps each, where
+    # scipy's ode stops at 500 steps per call by default
+    init = RotorState(phi1=0.01, phi2=0.0, dphi1=0.0, dphi2=0.0)
+    traj = simulate_nonlinear(prolate20, trap50, init, 1000 * TWO_PI / W50, samples=8)
+    assert not traj.unstable and traj.times.size == 8
 
 
 def test_damping_decays_envelope(prolate20, trap50):

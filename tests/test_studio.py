@@ -533,6 +533,36 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert (out1 / "fig2_map.csv").read_bytes() == (out2 / "fig2_map.csv").read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rerun_into_one_out_replaces_each_file(tmp_path, fmt):
+    # the first run's file stays open, so its inode cannot be reused; a file
+    # truncated and rewritten in place would keep that inode and lose its bytes
+    code1, out = run_cli(tmp_path, "table1", extra=("--format", fmt))
+    path = out / f"table1.{fmt}"
+    with open(path, "rb") as first:
+        before = first.read()
+        code2, _ = run_cli(tmp_path, "table1", extra=("--format", fmt))
+        assert os.fstat(first.fileno()).st_ino != path.stat().st_ino
+        first.seek(0)
+        assert first.read() == before
+    assert code1 == code2 == 0
+    assert path.read_bytes() == before
+
+
+def test_symlink_at_output_path_is_replaced(tmp_path):
+    _, fresh = run_cli(tmp_path / "fresh", "table1")
+    target = tmp_path / "target.csv"
+    target.write_text("not a levrot table\n")
+    out = tmp_path / "linked" / "out"
+    out.mkdir(parents=True)
+    (out / "table1.csv").symlink_to(target)
+    code, _ = run_cli(tmp_path / "linked", "table1")
+    assert code == 0
+    assert not (out / "table1.csv").is_symlink()
+    assert (out / "table1.csv").read_bytes() == (fresh / "table1.csv").read_bytes()
+    assert target.read_text() == "not a levrot table\n"
+
+
 def test_thread_count_does_not_change_bytes(tmp_path):
     _, out1 = run_cli(tmp_path / "t1", "fig2-map", config=SMALL_MAP_CONFIG,
                       extra=("--threads", "1"))

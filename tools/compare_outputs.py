@@ -62,6 +62,16 @@ NAMED = {
     "surface_density": ({"charge": {"mode": "surface_density", "sigma_C_m2": 1e-6}},
                         ("dynamics", "coupling")),
     "nonlinear_dynamics": ({"dynamics": {"model": "nonlinear"}}, ("dynamics",)),
+    # both angles, start velocities and damping through the full torque
+    "nonlinear_damped": ({"dynamics": {"model": "nonlinear", "phi1_0_rad": 0.2,
+                                       "phi2_0_rad": -0.1, "dphi1_0_radps": 1.0e6,
+                                       "dphi2_0_radps": -5.0e5, "gamma_per_s": 2.0e5}},
+                         ("dynamics",)),
+    # q = 1.13, beyond the first stability region: the run stops at the angle
+    # limit and the verb fails, so only its exit code and stderr compare
+    "nonlinear_unstable": ({"trap": {"Vac_V": 20000.0},
+                            "dynamics": {"model": "nonlinear", "phi2_0_rad": 0.005}},
+                           ("dynamics",)),
     # a decaying linear trajectory, where the spectral estimators differ most
     "damped_dynamics": ({"dynamics": {"gamma_per_s": 5.0e5}}, ("dynamics",)),
 }
