@@ -6,7 +6,9 @@ Compares the linear (small-angle) model against the full trigonometric
 torque, and shows gas damping pulling the angle down.
 """
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -14,6 +16,7 @@ from levrot.constants import DEFAULT_CONSTANTS
 from levrot.geometry import ProlateEllipsoid, TotalCharge, build_body
 from levrot.rotor_dynamics import (RotorState, DampingModel, simulate_linear,
                                    simulate_nonlinear, extract_secular_frequency)
+from levrot.studio.reports import write_table
 from levrot.trap import Mode, TrapConfig, mathieu_coefficients, secular_frequency
 
 E = DEFAULT_CONSTANTS.elementary_charge
@@ -53,7 +56,11 @@ tail = float(np.sqrt(np.mean(damped.phi1[-n // 8:] ** 2)))
 print(f"damped run: rms amplitude {head:.2e} -> {tail:.2e} rad, "
       f"line at {extract_secular_frequency(damped)/TWO_PI/1e6:.3f} MHz")
 
-out = "angle_trajectory.csv"
-traj.write_csv(out)
-print(f"trajectory written to {out} "
-      "(columns time_s, phi1_rad, phi2_rad, dphi1_radps, dphi2_radps)")
+columns = ["time_s", "phi1_rad", "phi2_rad", "dphi1_radps", "dphi2_radps"]
+rows = np.rec.fromarrays([traj.times, traj.phi1, traj.phi2, traj.dphi1, traj.dphi2],
+                         names=columns)
+# this script is the demo's config, so its hash goes into the provenance footer
+script_hash = hashlib.sha256(Path(__file__).read_bytes()).hexdigest()
+out = write_table(Path("angle_trajectory.csv"), columns, rows, script_hash,
+                  DEFAULT_CONSTANTS)
+print(f"trajectory written to {out} (columns {', '.join(columns)})")

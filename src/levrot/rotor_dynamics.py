@@ -63,12 +63,6 @@ class Trajectory:
                           dphi1=float(self.dphi1[i]), dphi2=float(self.dphi2[i]),
                           time=float(self.times[i]))
 
-    def write_csv(self, path):
-        header = "time_s,phi1_rad,phi2_rad,dphi1_radps,dphi2_radps"
-        data = np.column_stack([self.times, self.phi1, self.phi2,
-                                self.dphi1, self.dphi2])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
-
 
 def _angle_coefficients(body: BodyProperties, trap: TrapConfig):
     # phi1 tilts about y (leverage S_Y), phi2 about x' (leverage S_X)

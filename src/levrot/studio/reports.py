@@ -9,10 +9,13 @@ Each column is formatted once, not cell by cell: floats with repr (shortest
 round-trip form), so identical inputs give byte-identical files, bools as
 ``true``/``false``, and integers, strings and object fields with str.  CSV
 rows are joined and written CHUNK_ROWS at a time, so no list of the whole
-table's lines is built.  JSON writes non-finite floats as null.  Every file
-ends with comment lines carrying the package version, the config hash and
-the constants in force.  A file already at the output path is replaced, not
-rewritten in place.
+table's lines is built.  In a chunk of a float64 column whose distinct bit
+patterns are at most MAX_DISTINCT_SHARE of its cells, each distinct value is
+repr'd once and the cells are mapped to it; the bytes are those of a repr per
+cell, -0.0 and 0.0 included.  JSON writes non-finite floats as null.  Every
+file ends with comment lines carrying the package version, the config hash
+and the constants in force.  A file already at the output path is replaced,
+not rewritten in place.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .. import __version__
 from ..constants import PhysicalConstants
 
 CHUNK_ROWS = 4096
+# a float64 chunk with at most this share of distinct values reprs each once
+MAX_DISTINCT_SHARE = 0.5
 
 _BOOL_TEXT = ("false", "true")
 
@@ -40,6 +45,12 @@ def provenance_lines(config_hash: str, constants: PhysicalConstants) -> list[str
 
 
 def _csv_cells(column: np.ndarray):
+    if column.dtype == np.float64:
+        # bit patterns, not values, so that -0.0 and 0.0 stay apart
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        if bits.size <= MAX_DISTINCT_SHARE * column.size:
+            texts = list(map(repr, bits.view(np.float64).tolist()))
+            return map(texts.__getitem__, inverse.tolist())
     values = column.tolist()
     if column.dtype.kind == "b":
         return map(_BOOL_TEXT.__getitem__, values)

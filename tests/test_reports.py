@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from levrot.constants import DEFAULT_CONSTANTS
-from levrot.studio.reports import CHUNK_ROWS, provenance_lines, write_table
+from levrot.studio import reports
+from levrot.studio.reports import (CHUNK_ROWS, MAX_DISTINCT_SHARE, provenance_lines,
+                                   write_table)
 
 HASH = "0" * 64
 
@@ -86,3 +88,66 @@ def test_write_table_rejects_unknown_format(tmp_path):
     names, rows, _ = sample_columns(2)
     with pytest.raises(ValueError, match="xml"):
         write_table(tmp_path / "t.xml", names, rows, HASH, DEFAULT_CONSTANTS, "xml")
+
+
+def _bits(*patterns):
+    """float64 values with these bit patterns"""
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+def assert_csv_matches_reference(tmp_path, **columns):
+    names = list(columns)
+    arrays = [np.asarray(a) for a in columns.values()]
+    path = tmp_path / "t.csv"
+    write_table(path, names, np.rec.fromarrays(arrays, names=names), HASH,
+                DEFAULT_CONSTANTS, "csv")
+    assert path.read_bytes() == reference_bytes(names, list(zip(*arrays)), "csv")
+
+
+NEGATIVE_ZERO, QUIET_NAN = 0x8000000000000000, 0x7FF8000000000000
+SIGNED_ZEROS_AND_NANS = _bits(NEGATIVE_ZERO, 0, QUIET_NAN, QUIET_NAN | NEGATIVE_ZERO,
+                              QUIET_NAN + 1)
+
+
+@pytest.mark.parametrize("values", [
+    np.repeat([0.1, 0.2, 0.3, 0.4, 0.5], 2),                         # half distinct
+    [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.1, 0.2, 0.3, 0.4],              # one more
+    np.linspace(-1.0, 1.0, 10),                                      # all distinct
+    np.tile(SIGNED_ZEROS_AND_NANS, 3),
+], ids=["half_distinct", "half_plus_one", "all_distinct", "signed_zeros_and_nans"])
+def test_float64_chunk_formats_each_distinct_value_once(tmp_path, monkeypatch, values):
+    values = np.asarray(values, dtype=np.float64)
+    calls = []
+    monkeypatch.setattr(reports, "repr", lambda v: calls.append(v) or repr(v),
+                        raising=False)
+    assert_csv_matches_reference(tmp_path, x=values)
+    distinct = len(np.unique(values.view(np.int64)))
+    few = distinct <= MAX_DISTINCT_SHARE * values.size
+    assert len(calls) == (distinct if few else values.size)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_narrow_float_columns_match_reference(tmp_path, dtype):
+    repeated = np.tile(np.array([-0.0, 0.0, 0.1, 1e-3, np.nan, np.inf], dtype=dtype), 3)
+    # alone, the column is contiguous: read as int64 bits it would lose rows
+    assert_csv_matches_reference(tmp_path, x=repeated[:10])
+    assert_csv_matches_reference(tmp_path, x=repeated, n=np.arange(repeated.size))
+
+
+def test_fig2_map_shaped_columns_across_chunks(tmp_path):
+    n_B, n_psi = 37, 250  # 9250 rows: chunks end inside a psi sweep
+    assert (n_B * n_psi) % CHUNK_ROWS and CHUNK_ROWS % n_psi
+    B, psi = np.linspace(0.0, 0.1, n_B), np.linspace(0.005, 1.565, n_psi)
+    lam = np.random.default_rng(0).standard_normal(n_B * n_psi) * 1e5
+    assert_csv_matches_reference(tmp_path, B_T=np.repeat(B, n_psi),
+                                 psi_rad=np.tile(psi, n_B), lambda_tilde_hz=lam,
+                                 resonance_flag=lam > 0)
+
+
+def test_strided_field_of_a_record_array(tmp_path):
+    n = CHUNK_ROWS + 3
+    columns = {"i": np.arange(n), "x": np.tile([-0.0, 0.0, 0.5], n)[:n],
+               "flag": np.arange(n) % 2 == 0, "y": np.arange(n) / 3.0}
+    rows = np.rec.fromarrays(list(columns.values()), names=list(columns))
+    assert not rows["x"].flags.c_contiguous
+    assert_csv_matches_reference(tmp_path, **columns)

@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,12 +320,22 @@ def test_tolerance_refinement_stability(prolate20, trap50):
     assert coarse == pytest.approx(fine, rel=1e-3)
 
 
-def test_csv_export_columns(tmp_path):
-    traj = synthetic_trajectory(5e6, n=1024)
-    path = tmp_path / "traj.csv"
-    traj.write_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "time_s,phi1_rad,phi2_rad,dphi1_radps,dphi2_radps"
+def test_demo_03_writes_its_trajectory_with_write_table(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, str(root / "demos" / "03_angle_dynamics.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "angle_trajectory.csv").read_text().splitlines()
+    assert lines[0] == "time_s,phi1_rad,phi2_rad,dphi1_radps,dphi2_radps"
+    assert lines[-2].startswith("# provenance: levrot=")
+    assert lines[-1].startswith("# constants: ")
+    rows = [line.split(",") for line in lines[1:-2]]
+    assert len(rows) == 8192 and {len(row) for row in rows} == {5}
+    assert rows[0][:2] == ["0.0", "0.01"]
+    # write_table's shortest round-trip form, not a fixed-width format
+    assert all(repr(float(cell)) == cell for row in rows for cell in row)
 
 
 def test_trajectory_stability_matches_floquet_samples(trap50):

@@ -59,6 +59,8 @@ NAMED = {
     "composite": ({"particle": {"shape": "composite", "b_m": 2e-8, "a_m": 5e-8,
                                 "c_m": 2.5e-9}},
                   ("fig2-map", "dynamics", "coupling", "jc-sim")),
+    # the bench's 90 000-row map; CSV chunks of 4096 rows end inside a psi sweep
+    "fig2_wide": ({"fig2_map": {"n_B": 450, "n_psi": 200, "B_min_T": 0.0}}, ("fig2-map",)),
     "surface_density": ({"charge": {"mode": "surface_density", "sigma_C_m2": 1e-6}},
                         ("dynamics", "coupling")),
     "nonlinear_dynamics": ({"dynamics": {"model": "nonlinear"}}, ("dynamics",)),
