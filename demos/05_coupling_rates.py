@@ -9,13 +9,12 @@ import math
 import numpy as np
 
 from levrot.constants import DEFAULT_CONSTANTS
-from levrot.coupling import (DecoherenceBudget, coupling_map, coupling_vs_rabi,
-                             dressed_coupling, resonance_curve, rotational_mode,
+from levrot.coupling import (DecoherenceBudget, coupling_map_rows, coupling_vs_rabi,
+                             dressed_coupling, rotational_mode,
                              strong_coupling_assessment)
 from levrot.geometry import (Composite, OblateEllipsoid, ProlateEllipsoid,
                              SurfaceDensity, TotalCharge, build_body)
-from levrot.nv_spin import (MicrowaveConfig, SpinConfig, dressed_spectrum,
-                            mixed_spectrum, resonance_solve, TWO_PI)
+from levrot.nv_spin import SpinConfig, resonance_solve, TWO_PI
 
 E = DEFAULT_CONSTANTS.elementary_charge
 
@@ -29,10 +28,10 @@ print(f"zero-point angle phi0 = {mode.phi0:.3e} rad, "
 # resonance curve of the largest practical Rabi frequency
 B = np.linspace(0.0, 0.1, 51)
 psi = np.linspace(0.05, math.pi / 2 - 0.01, 41)
-cmap = coupling_map(mode, B, psi)
-print(f"map maximum {cmap.lambda_tilde.max()/1e3:.1f} kHz "
+lam, feasible = coupling_map_rows(mode, B, psi)
+print(f"map maximum {lam.max()/1e3:.1f} kHz "
       f"(top-right corner); feasible fraction "
-      f"{cmap.feasible.mean():.2f} under a 1 GHz Rabi cap")
+      f"{feasible.mean():.2f} under a 1 GHz Rabi cap")
 
 sol = resonance_solve(SpinConfig(B=0.0), 500e6, TWO_PI * 5e6, solve_for="field")
 report = dressed_coupling(mode, sol.mixed, sol.dressed, B=sol.B)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -12,8 +12,8 @@ class PhysicalConstants:
 
     ``gamma_nv`` is the NV electron-spin gyromagnetic ratio expressed as an
     ordinary frequency per tesla (g ~ 2.0028), and ``zero_field_splitting_D``
-    the room-temperature ground-state splitting.  Densities can be overridden
-    per run when material data differ.
+    the room-temperature ground-state splitting.  Any value can be overridden
+    per run with dataclasses.replace.
     """
 
     hbar: float = 6.62607015e-34 / (2.0 * math.pi)  # J s
@@ -40,9 +40,6 @@ class PhysicalConstants:
                     "silica": self.density_silica}[material]
         except KeyError:
             raise ValueError(f"unknown material {material!r}") from None
-
-    def with_overrides(self, **kwargs) -> "PhysicalConstants":
-        return replace(self, **kwargs)
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()

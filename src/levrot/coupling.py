@@ -1,5 +1,7 @@
 """Quantized rotational mode, dressed spin-phonon coupling rates, strong-coupling
-assessment, and the B/psi map and Rabi-sweep curve generators."""
+assessment, and the generators of the coupling map (lambda_tilde and
+resonance feasibility over field rows and microwave angles), the resonant
+psi(B) curve and the Rabi-sweep curves."""
 
 from __future__ import annotations
 
@@ -54,15 +56,12 @@ class CouplingReport:
 class DecoherenceBudget:
     """Spin lifetimes; T2 follows from 1/T2 = 1/(2 T1) + 1/T2*."""
 
-    T1: float                        # s
-    T2_star: float                   # s
-    mechanical_linewidth: float = 0.0  # Hz
+    T1: float          # s
+    T2_star: float     # s
 
     def __post_init__(self):
         if self.T1 <= 0.0 or self.T2_star <= 0.0:
             raise ValueError("lifetimes must be positive")
-        if self.mechanical_linewidth < 0.0:
-            raise ValueError("mechanical linewidth must be non-negative")
 
     @property
     def T2(self) -> float:
@@ -99,40 +98,13 @@ def strong_coupling_assessment(report: CouplingReport,
     """
     r1 = report.lambda_tilde * budget.T1
     r2 = report.lambda_tilde * budget.T2
-    strong = r1 > 1.0 and r2 > 1.0
-    if budget.mechanical_linewidth > 0.0:
-        strong = strong and report.lambda_tilde > budget.mechanical_linewidth
-    return StrongCouplingVerdict(strong=strong, ratio_T1=r1, ratio_T2=r2)
+    return StrongCouplingVerdict(strong=r1 > 1.0 and r2 > 1.0,
+                                 ratio_T1=r1, ratio_T2=r2)
 
 
 # ---------------------------------------------------------------------------
 # map and curve generators
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CouplingMapPoint:
-    B: float                 # T
-    psi: float               # rad
-    lambda_tilde: float      # Hz
-    resonance_feasible: bool
-
-
-@dataclass
-class CouplingMap:
-    """lambda_tilde over a (B, psi) grid, stored as arrays (rows indexed by B)."""
-
-    B_values: np.ndarray       # (nB,)
-    psi_values: np.ndarray     # (npsi,)
-    lambda_tilde: np.ndarray   # (nB, npsi), Hz
-    feasible: np.ndarray       # (nB, npsi), bool
-
-    def points(self):
-        for i, B in enumerate(self.B_values):
-            for j, psi in enumerate(self.psi_values):
-                yield CouplingMapPoint(B=float(B), psi=float(psi),
-                                       lambda_tilde=float(self.lambda_tilde[i, j]),
-                                       resonance_feasible=bool(self.feasible[i, j]))
-
 
 def bare_rate_vs_field(mode: RotationalMode, B, constants: PhysicalConstants):
     """gamma*B*phi0*cos(theta(B)) as an array over B (Hz)."""
@@ -142,12 +114,12 @@ def bare_rate_vs_field(mode: RotationalMode, B, constants: PhysicalConstants):
 
 
 def coupling_map_rows(mode: RotationalMode, B_values, psi_values,
-                      constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                      rabi_cap: float = RABI_TECHNICAL_CAP):
-    """(lambda_tilde, feasible) arrays for the given B rows.
+                      constants: PhysicalConstants = DEFAULT_CONSTANTS):
+    """(lambda_tilde, feasible) arrays of shape (B rows, psi columns).
 
     A point is feasible when the resonance condition can be met at that
-    (B, psi) with a Rabi frequency K*tan(psi)/(2*pi) not exceeding rabi_cap.
+    (B, psi) with a Rabi frequency K*tan(psi)/(2*pi) not exceeding
+    RABI_TECHNICAL_CAP.
     """
     B = np.asarray(B_values, dtype=float)
     psi = np.asarray(psi_values, dtype=float)
@@ -156,19 +128,9 @@ def coupling_map_rows(mode: RotationalMode, B_values, psi_values,
     K = resonance_K(B, mode.omega_phi, constants.zero_field_splitting_D,
                     constants.gamma_nv)
     required_rabi = np.outer(K, np.tan(psi)) / TWO_PI
-    feasible = (K[:, None] > 0.0) & (required_rabi > 0.0) & (required_rabi <= rabi_cap)
+    feasible = ((K[:, None] > 0.0) & (required_rabi > 0.0)
+                & (required_rabi <= RABI_TECHNICAL_CAP))
     return lam, feasible
-
-
-def coupling_map(mode: RotationalMode, B_values, psi_values,
-                 constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                 rabi_cap: float = RABI_TECHNICAL_CAP) -> CouplingMap:
-    B = np.asarray(B_values, dtype=float)
-    psi = np.asarray(psi_values, dtype=float)
-    if B.size < 2 or psi.size < 2:
-        raise ValueError("map grids need at least 2 points per axis")
-    lam, feasible = coupling_map_rows(mode, B, psi, constants, rabi_cap)
-    return CouplingMap(B_values=B, psi_values=psi, lambda_tilde=lam, feasible=feasible)
 
 
 def resonance_curve(mode: RotationalMode, B_values, rabi_frequency: float,

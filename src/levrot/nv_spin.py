@@ -80,23 +80,15 @@ class MixedSpinSpectrum:
 
 @dataclass(frozen=True)
 class MicrowaveConfig:
-    """Drive on the g <-> d transition: Rabi frequency plus detuning or
-    absolute drive frequency (exactly one of the two), all in ordinary Hz."""
+    """Drive on the g <-> d transition: Rabi frequency and detuning from
+    omega_dg, both in ordinary Hz."""
 
-    rabi_frequency: float           # Hz
-    detuning: float | None = None   # Hz, relative to omega_dg
-    drive_frequency: float | None = None  # Hz, absolute
+    rabi_frequency: float  # Hz
+    detuning: float        # Hz, relative to omega_dg
 
     def __post_init__(self):
         if self.rabi_frequency <= 0.0:
             raise ValueError("Rabi frequency must be positive")
-        if (self.detuning is None) == (self.drive_frequency is None):
-            raise ValueError("specify exactly one of detuning or drive_frequency")
-
-    def detuning_angular(self, mixed: MixedSpinSpectrum) -> float:
-        if self.detuning is not None:
-            return TWO_PI * self.detuning
-        return TWO_PI * self.drive_frequency - mixed.omega_dg
 
 
 @dataclass(frozen=True)
@@ -178,7 +170,7 @@ LEAKAGE_RABI_FACTOR = 5.0  # warn when the g-d drive sits too close to e-d
 
 def dressed_spectrum(mixed: MixedSpinSpectrum, mw: MicrowaveConfig) -> DressedSpectrum:
     """Dressed states of the driven g <-> d transition in the rotating frame."""
-    delta = mw.detuning_angular(mixed)
+    delta = TWO_PI * mw.detuning
     rabi = TWO_PI * mw.rabi_frequency
 
     gap = abs(mixed.omega_ed - mixed.omega_dg)

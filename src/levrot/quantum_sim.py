@@ -6,7 +6,7 @@ QuantumModel.index lays out.  Dimensions stay small (3*(N_max+1) <= a few
 tens), so propagation is exact: evolve checks and measures the states in
 stacks of consecutive samples, from eigenbasis phases when unitary or from
 exp(L dt) steps of each invariant block of rho otherwise.  The exchange
-frequency is the strongest matrix-pencil pole of a spin population
+frequency is the strongest matrix-pencil pole of the |e> population
 (spectral.dominant_pole); only dissipative runs load scipy, for expm.
 """
 
@@ -19,16 +19,12 @@ import numpy as np
 
 from .coupling import DecoherenceBudget
 from .nv_spin import TWO_PI
-from .spectral import NoLineError, dominant_pole
+from .spectral import dominant_pole
 
 SPIN_LABELS = ("plus", "minus", "e")
 PLUS, MINUS, EXCITED = 0, 1, 2
 CHECK_TOL = 1e-9  # trace, hermiticity (x10) and positivity tolerance per sample
 CHUNK_ENTRIES = 2 ** 15  # matrix entries per stack of samples that evolve handles at once
-
-
-class NoOscillationError(RuntimeError):
-    """No pole in the band, or the strongest one is no stronger than the misfit."""
 
 
 @dataclass(frozen=True)
@@ -103,12 +99,13 @@ def build_model(levels, omega_phi: float, lambda_tilde: float,
 
 
 def resonant_model(lambda_tilde: float, omega_phi: float, N_max: int = 8,
-                   kind: str = "jaynes_cummings", splitting: float | None = None) -> QuantumModel:
-    """Model with omega_e' - omega_+ pinned to omega_phi (exchange resonance).
+                   kind: str = "jaynes_cummings") -> QuantumModel:
+    """Model with omega_e' - omega_+ pinned to omega_phi (exchange resonance)
+    and the dressed splitting omega_+ - omega_- at 100 omega_phi.
 
     Shortcut used by tests and demos when only the ladder dynamics matter.
     """
-    w = splitting if splitting is not None else 100.0 * omega_phi
+    w = 100.0 * omega_phi
     return build_model((0.5 * w, -0.5 * w, 0.5 * w + omega_phi), omega_phi,
                        lambda_tilde, N_max=N_max, kind=kind)
 
@@ -321,20 +318,17 @@ def evolve(model: QuantumModel, initial: np.ndarray, times: np.ndarray,
 # exchange-rate extraction
 # ---------------------------------------------------------------------------
 
-def exchange_frequency(result: EvolutionResult, spin: str = "e") -> float:
-    """Population-oscillation frequency (Hz) of one spin level.
+def exchange_frequency(result: EvolutionResult) -> float:
+    """Population-oscillation frequency (Hz) of the |e> level.
 
     The strongest matrix-pencil pole (spectral.dominant_pole) of the
-    population between 1/duration and the Nyquist frequency.
+    population between 1/duration and the Nyquist frequency; raises
+    spectral.NoLineError when there is none.
     """
     t = result.times
     dt = t[1] - t[0]
-    try:
-        pole = dominant_pole(result.spin_population(spin), dt, 1.0 / (t[-1] - t[0]),
-                             0.5 / dt)
-    except NoLineError as exc:
-        raise NoOscillationError(str(exc)) from None
-    return pole.frequency
+    return dominant_pole(result.spin_population("e"), dt, 1.0 / (t[-1] - t[0]),
+                         0.5 / dt).frequency
 
 
 def thermal_initial_state(model: QuantumModel, spin, mean_occupation: float) -> np.ndarray:

@@ -6,14 +6,16 @@ full trigonometric torque (cos(phi2) sin(2 phi1) and cos^2(phi1) sin(2 phi2)),
 whose linearization reproduces the linear model exactly, under scipy's
 compiled DOP853 with one restart per sample.
 Spin about the symmetry axis is held at zero throughout.  The secular
-frequency of a trajectory is its strongest matrix-pencil pole below half the
-drive frequency (spectral.dominant_pole).
+frequency of a trajectory is the strongest matrix-pencil pole of its angle
+with the larger variance, below half the drive frequency
+(spectral.dominant_pole); a trajectory without such a line raises
+spectral.NoLineError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +25,6 @@ from .trap import TrapConfig, Mode, _period_flow, mathieu_coefficients
 
 ANGLE_LIMIT = 0.5 * math.pi  # beyond this the small-angle model is meaningless
 MIN_SPECTRAL_SAMPLES = 1 << 10
-
-
-class PeakExtractionError(RuntimeError):
-    """No pole in the band, or the strongest one is no stronger than the misfit."""
 
 
 @dataclass(frozen=True)
@@ -55,8 +53,8 @@ class Trajectory:
     dphi1: np.ndarray
     dphi2: np.ndarray
     sample_interval: float       # s
+    drive_frequency: float       # Omega of the trap, rad/s
     unstable: bool = False
-    metadata: dict = field(default_factory=dict)
 
     def state(self, i: int) -> RotorState:
         return RotorState(phi1=float(self.phi1[i]), phi2=float(self.phi2[i]),
@@ -71,7 +69,7 @@ def _angle_coefficients(body: BodyProperties, trap: TrapConfig):
     return (c1.a, c2.a), (c1.q, c2.q)
 
 
-def _linear_trajectory(model: str, a, q, W: float, gamma: float, init: RotorState,
+def _linear_trajectory(a, q, W: float, gamma: float, init: RotorState,
                        duration: float, samples: int, rtol: float) -> Trajectory:
     """Both angles as x(nT + s) = Phi(s) M^n x(0), in tau = W t/2 with damping
     d = gamma/W.  The run ends before the first sample beyond ANGLE_LIMIT;
@@ -92,9 +90,7 @@ def _linear_trajectory(model: str, a, q, W: float, gamma: float, init: RotorStat
     over = np.flatnonzero(np.max(np.abs(x[:, 0]), axis=0) > ANGLE_LIMIT)
     n = int(over[0]) if over.size else keep
     y = np.concatenate([x[:, 0, :n], 0.5 * W * x[:, 1, :n]])  # phi1, phi2, dphi1, dphi2
-    return Trajectory(times[:n], *y, times[1] - times[0], unstable=n < samples,
-                      metadata={"model": model, "drive_frequency_radps": W,
-                                "a": tuple(a), "q": tuple(q), "gamma": gamma})
+    return Trajectory(times[:n], *y, times[1] - times[0], W, unstable=n < samples)
 
 
 def simulate_linear(body: BodyProperties, trap: TrapConfig, init: RotorState,
@@ -102,15 +98,14 @@ def simulate_linear(body: BodyProperties, trap: TrapConfig, init: RotorState,
                     samples: int = 4096, rtol: float = 1e-9) -> Trajectory:
     """Small-angle (Mathieu) dynamics of both tilt angles; rtol is the
     tolerance of the one-period integration behind it."""
-    return _linear_trajectory("linear", *_angle_coefficients(body, trap),
+    return _linear_trajectory(*_angle_coefficients(body, trap),
                               trap.drive_frequency, damping.gamma, init, duration,
                               samples, rtol)
 
 
 def simulate_nonlinear(body: BodyProperties, trap: TrapConfig, init: RotorState,
                        duration: float, damping: DampingModel = DampingModel(),
-                       samples: int = 4096, rtol: float = 1e-9,
-                       atol: float = 1e-14) -> Trajectory:
+                       samples: int = 4096, rtol: float = 1e-9) -> Trajectory:
     """Two-angle dynamics with the full trigonometric torque.
 
     scipy's compiled Hairer DOP853 (``scipy.integrate.ode``) integrates to
@@ -140,7 +135,7 @@ def simulate_nonlinear(body: BodyProperties, trap: TrapConfig, init: RotorState,
     times = np.linspace(0.0, duration, samples)
     y = np.empty((4, samples))  # phi1, phi2, dphi1, dphi2
     y[:, 0] = init.phi1, init.phi2, init.dphi1, init.dphi2
-    solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=atol,
+    solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=1e-14,
                                      nsteps=np.iinfo(np.int32).max)
     solver.set_solout(blowup)
     solver.set_initial_value(y[:, 0], 0.0)
@@ -153,9 +148,7 @@ def simulate_nonlinear(body: BodyProperties, trap: TrapConfig, init: RotorState,
         if not solver.successful():
             raise RuntimeError(f"integration failed: dop853 return code "
                                f"{solver.get_return_code()}")
-    return Trajectory(times[:n], *y[:, :n], times[1] - times[0], unstable=n < samples,
-                      metadata={"model": "nonlinear", "drive_frequency_radps": W,
-                                "a": (a1, a2), "q": (q1, q2), "gamma": g})
+    return Trajectory(times[:n], *y[:, :n], times[1] - times[0], W, unstable=n < samples)
 
 
 def simulate_mathieu(a: float, q: float, drive_frequency: float, init: RotorState,
@@ -164,7 +157,7 @@ def simulate_mathieu(a: float, q: float, drive_frequency: float, init: RotorStat
     """Normal-form Mathieu dynamics from given (a, q), for stability charts and
     cross-checks without a physical body; phi2 has the same coefficients."""
     duration = n_drive_periods * 2.0 * math.pi / drive_frequency
-    return _linear_trajectory("mathieu", (a, a), (q, q), drive_frequency, damping.gamma,
+    return _linear_trajectory((a, a), (q, q), drive_frequency, damping.gamma,
                               init, duration, samples, rtol)
 
 
@@ -172,27 +165,22 @@ def simulate_mathieu(a: float, q: float, drive_frequency: float, init: RotorStat
 # spectral extraction
 # ---------------------------------------------------------------------------
 
-def extract_secular_frequency(traj: Trajectory, component: str | None = None) -> float:
+def extract_secular_frequency(traj: Trajectory) -> float:
     """Strongest spectral line of a stable trajectory, in rad/s.
 
-    The line is the strongest matrix-pencil pole (spectral.dominant_pole)
-    between 1/duration and half the drive frequency, which excludes the
-    drive line and its secular sidebands.
+    The line is the strongest matrix-pencil pole (spectral.dominant_pole) of
+    the angle with the larger variance (phi1 on a tie), between 1/duration
+    and half the drive frequency, which excludes the drive line and its
+    secular sidebands.
     """
     if traj.unstable:
-        raise PeakExtractionError("trajectory flagged unstable")
+        raise NoLineError("trajectory flagged unstable")
     if traj.times.size < MIN_SPECTRAL_SAMPLES:
-        raise PeakExtractionError(
+        raise NoLineError(
             f"need at least {MIN_SPECTRAL_SAMPLES} samples, got {traj.times.size}")
 
-    if component is None:
-        component = "phi1" if np.var(traj.phi1) >= np.var(traj.phi2) else "phi2"
-    dt = traj.sample_interval
-    drive = traj.metadata.get("drive_frequency_radps")
-    f_max = drive / (4.0 * math.pi) if drive else 0.5 / dt  # half the drive, in Hz
-    try:
-        pole = dominant_pole(getattr(traj, component), dt,
-                             1.0 / (traj.times[-1] - traj.times[0]), f_max)
-    except NoLineError as exc:
-        raise PeakExtractionError(str(exc)) from None
+    angle = traj.phi1 if np.var(traj.phi1) >= np.var(traj.phi2) else traj.phi2
+    pole = dominant_pole(angle, traj.sample_interval,
+                         1.0 / (traj.times[-1] - traj.times[0]),
+                         traj.drive_frequency / (4.0 * math.pi))  # half the drive, in Hz
     return 2.0 * math.pi * pole.frequency

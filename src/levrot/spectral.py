@@ -20,7 +20,8 @@ RANK_TOL = 1e-10   # singular values below this share of the largest are noise
 
 
 class NoLineError(RuntimeError):
-    """No pole in the band, or the strongest one is no stronger than the misfit."""
+    """No pole in the band, or the strongest one is no stronger than the misfit;
+    rotor_dynamics also raises it for a record too short or unstable to hold one."""
 
 
 @dataclass(frozen=True)

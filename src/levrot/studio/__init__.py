@@ -2,7 +2,7 @@
 
 from .config import RunConfig, ConfigError, DEFAULT_CONFIG, write_schema
 from .reports import write_table
-from .sweep import map_ordered, resolve_threads
+from .sweep import map_ordered
 
 __all__ = ["RunConfig", "ConfigError", "DEFAULT_CONFIG", "write_schema",
-           "write_table", "map_ordered", "resolve_threads"]
+           "write_table", "map_ordered"]

@@ -27,9 +27,10 @@ from .. import coupling as cpl
 from .. import nv_spin, quantum_sim, rotor_dynamics, trap
 from ..constants import PhysicalConstants
 from ..geometry import SurfaceDensity, ProlateEllipsoid, build_body
-from .config import RunConfig, TWO_PI
+from ..nv_spin import TWO_PI
+from .config import RunConfig
 from .reports import write_table
-from .sweep import map_ordered, resolve_threads
+from .sweep import map_ordered
 
 
 @dataclass
@@ -106,8 +107,8 @@ def cmd_table1(cfg: RunConfig, ctx: OutputContext):
                                    "omega_phi_over_omega_com", "I_y_over_I0"], rows)]
 
 
-def _fig2_row(B: float, psi_values=None, mode=None, constants=None, rabi_cap=None):
-    lam, feas = cpl.coupling_map_rows(mode, [B], psi_values, constants, rabi_cap)
+def _fig2_row(B: float, psi_values=None, mode=None, constants=None):
+    lam, feas = cpl.coupling_map_rows(mode, [B], psi_values, constants)
     return lam[0], feas[0]
 
 
@@ -120,8 +121,7 @@ def cmd_fig2_map(cfg: RunConfig, ctx: OutputContext):
     psi_values = np.linspace(fm["psi_min_rad"], fm["psi_max_rad"], fm["n_psi"])
 
     worker = functools.partial(_fig2_row, psi_values=psi_values, mode=mode,
-                               constants=ctx.constants,
-                               rabi_cap=cpl.RABI_TECHNICAL_CAP)
+                               constants=ctx.constants)
     results = map_ordered(worker, [float(b) for b in B_values], ctx.threads)
     lam, feas = (np.stack(part) for part in zip(*results))
     n_B, n_psi = B_values.size, psi_values.size
@@ -418,9 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON configuration (defaults used when omitted)")
     parser.add_argument("--out", type=Path, default=Path("levrot_out"),
                         help="output directory (created if missing)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker processes for fig2-map rows "
-                             "(default: LEVROT_THREADS or 1)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker processes for fig2-map rows (default 1; "
+                             "values below 1 mean 1)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("verb", choices=sorted(VERBS),
                         help="which computation to run")
@@ -433,7 +433,7 @@ def main(argv=None) -> int:
         cfg = (RunConfig.from_file(args.config) if args.config
                else RunConfig.default())
         ctx = OutputContext(out_dir=args.out, fmt=args.format,
-                            threads=resolve_threads(args.threads),
+                            threads=max(1, args.threads),
                             constants=cfg.constants())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

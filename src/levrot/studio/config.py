@@ -13,6 +13,7 @@ OmegaR_Hz, ...).
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,11 +23,10 @@ from pathlib import Path
 from ..constants import DEFAULT_CONSTANTS, PhysicalConstants
 from ..geometry import (Sphere, ProlateEllipsoid, OblateEllipsoid, Composite,
                         TotalCharge, SurfaceDensity)
+from ..nv_spin import TWO_PI
 from ..quantum_sim import SPIN_LABELS
 from ..rotor_dynamics import ANGLE_LIMIT, MIN_SPECTRAL_SAMPLES
 from ..trap import TrapConfig
-
-TWO_PI = 2.0 * math.pi
 
 
 class ConfigError(ValueError):
@@ -255,21 +255,21 @@ class RunConfig:
     # -- typed accessors --------------------------------------------------
 
     def constants(self) -> PhysicalConstants:
-        return DEFAULT_CONSTANTS.with_overrides(
+        return dataclasses.replace(
+            DEFAULT_CONSTANTS,
             **{_CONSTANT_KEYS[k]: v for k, v in self.document["constants"].items()})
 
     def particle_spec(self):
+        """The configured particle; a composite disk keeps its c_m as given."""
         p = {**_COMPOSITE_OPTIONS, **self.document["particle"]}
-        return self.shape_spec(p["shape"] if p["shape"] != "composite"
-                               else f"composite:{p['c_m'] / p['b_m']}",
-                               b=p["b_m"],
-                               a=p.get("a_m"),
-                               disk_material=p["disk_material"],
-                               zero_mass=p["zero_mass_disk"])
+        if p["shape"] == "composite":
+            return Composite(b=p["b_m"], a=p["a_m"], c=p["c_m"],
+                             disk_material=p["disk_material"],
+                             zero_mass_disk=p["zero_mass_disk"])
+        return self.shape_spec(p["shape"], b=p["b_m"], a=p.get("a_m"))
 
     def shape_spec(self, shape_id: str, b: float, a: float | None = None,
-                   aspect_ratio: float = 2.5, disk_material: str = "silica",
-                   zero_mass: bool = False):
+                   aspect_ratio: float = 2.5):
         """Build a particle spec from a shape id and the minimum radius b."""
         head, _, cb = shape_id.partition(":")
         if a is None:
@@ -280,9 +280,8 @@ class RunConfig:
             return ProlateEllipsoid(a=a, b=b)
         if head == "oblate":
             return OblateEllipsoid(a=a, b=b)
-        zero_mass = zero_mass or head == "zero_mass_disk"
-        return Composite(b=b, a=a, c=float(cb) * b, disk_material=disk_material,
-                         zero_mass_disk=zero_mass)
+        return Composite(b=b, a=a, c=float(cb) * b,
+                         zero_mass_disk=head == "zero_mass_disk")
 
     def charge_model(self, constants: PhysicalConstants):
         c = self.document["charge"]

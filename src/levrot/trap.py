@@ -93,6 +93,7 @@ class AntiTrappingError(ValueError):
 
 
 PSEUDOPOTENTIAL_Q_MAX = 0.4  # |q| beyond this, the secular formula is only indicative
+TRACE_TOL = 1e-9  # |tr M| up to 2 + TRACE_TOL counts as stable (marginal included)
 
 
 def _mode_curvature_and_inertia(body: BodyProperties, trap: TrapConfig, mode: Mode):
@@ -167,22 +168,21 @@ def _period_flow(a, q, d=0.0, s=math.pi, rtol: float = 1e-10):
     return phi.reshape(shape + (2, 2) + np.shape(s))
 
 
-def stability_chart(a, q, trace_tol: float = 1e-9):
+def stability_chart(a, q):
     """(stable, tr M) at broadcast (a, q) points from one integration;
-    stable iff |tr M| <= 2 + trace_tol (marginal included)."""
+    stable iff |tr M| <= 2 + TRACE_TOL (marginal included)."""
     M = _period_flow(a, q)
     trace = M[..., 0, 0] + M[..., 1, 1]
-    return np.abs(trace) <= 2.0 + trace_tol, trace
+    return np.abs(trace) <= 2.0 + TRACE_TOL, trace
 
 
-def floquet_stability(coeffs: MathieuCoefficients, trap: TrapConfig,
-                      trace_tol: float = 1e-9) -> StabilityVerdict:
+def floquet_stability(coeffs: MathieuCoefficients, trap: TrapConfig) -> StabilityVerdict:
     """Rigorous stability verdict: stable iff |tr M| <= 2 (marginal included).
 
     For stable modes the quasi-frequency Omega*nu/2 is reported, with
     cos(pi*nu) = tr(M)/2; it converges to the secular formula for small |q|.
     """
-    stable, trace = (x.item() for x in stability_chart(coeffs.a, coeffs.q, trace_tol))
+    stable, trace = (x.item() for x in stability_chart(coeffs.a, coeffs.q))
     nu = math.acos(min(1.0, max(-1.0, trace / 2.0))) / math.pi if stable else 0.0
     return StabilityVerdict(mode=coeffs.mode, stable=stable, monodromy_trace=trace,
                             quasi_frequency=0.5 * trap.drive_frequency * nu)

@@ -181,7 +181,7 @@ def test_mathieu_cross_validation():
         n = times.size
         traj = Trajectory(times=times, phi1=phi, phi2=np.zeros(n), dphi1=np.zeros(n),
                           dphi2=np.zeros(n), sample_interval=times[1] - times[0],
-                          metadata={"drive_frequency_radps": W50})
+                          drive_frequency=W50)
         extracted = extract_secular_frequency(traj)
         formula = secular_frequency(
             MathieuCoefficients(Mode.ROT_Y, 0.0, q), trap).omega
@@ -192,7 +192,7 @@ def test_mathieu_cross_validation():
 
     a, q = np.meshgrid(np.linspace(-0.1, 0.1, 10), np.linspace(0.0, 1.0, 10),
                        indexing="ij")
-    floq, _ = stability_chart(a, q, trace_tol=1e-9)
+    floq, _ = stability_chart(a, q)
     _, phi = _direct_mathieu(a, q, 120, 1024, 1e-8)
     # the direct run has no blow-up stop: a point is stable when |phi| stays below 1
     stable = np.max(np.abs(phi), axis=1) < 1.0

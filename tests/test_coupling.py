@@ -6,8 +6,8 @@ import pytest
 from levrot.constants import DEFAULT_CONSTANTS
 from levrot.coupling import (RotationalMode, DecoherenceBudget, rotational_mode,
                              dressed_coupling, strong_coupling_assessment,
-                             coupling_map, resonance_curve, coupling_vs_rabi,
-                             bare_rate_vs_field, RABI_TECHNICAL_CAP)
+                             coupling_map_rows, resonance_curve, coupling_vs_rabi,
+                             bare_rate_vs_field)
 from levrot.geometry import (Sphere, ProlateEllipsoid, OblateEllipsoid, Composite,
                              SurfaceDensity, TotalCharge, build_body)
 from levrot.nv_spin import (SpinConfig, MicrowaveConfig, mixed_spectrum,
@@ -135,28 +135,23 @@ def test_coupling_map_structure(prolate20):
     mode = rotational_mode(prolate20, OMEGA_PHI_20)
     B = np.linspace(0.0, 0.1, 21)
     psi = np.linspace(0.05, math.pi / 2, 24)
-    cmap = coupling_map(mode, B, psi)
-    assert cmap.lambda_tilde.shape == (21, 24)
+    lam, feasible = coupling_map_rows(mode, B, psi)
+    assert lam.shape == feasible.shape == (21, 24)
 
     # the psi = pi/2 column equals the bare rate lambda_phi cos(theta)
     bare = bare_rate_vs_field(mode, B, C)
-    np.testing.assert_allclose(cmap.lambda_tilde[:, -1], bare, rtol=1e-12)
+    np.testing.assert_allclose(lam[:, -1], bare, rtol=1e-12)
 
     # B = 0 row is identically zero
-    np.testing.assert_allclose(cmap.lambda_tilde[0], 0.0, atol=0.0)
+    np.testing.assert_allclose(lam[0], 0.0, atol=0.0)
 
     # value at (30 mT, pi/4) matches the direct chain
     i = int(np.argmin(np.abs(B - 0.030)))
     j = int(np.argmin(np.abs(psi - math.pi / 4)))
     report = pinned_chain(prolate20, OMEGA_PHI_20, B=float(B[i]))
-    assert cmap.lambda_tilde[i, j] == pytest.approx(
+    assert lam[i, j] == pytest.approx(
         report.lambda_phi * math.cos(report.theta) * math.sin(float(psi[j])),
         rel=1e-12)
-
-    points = list(cmap.points())
-    assert len(points) == 21 * 24
-    with pytest.raises(ValueError):
-        coupling_map(mode, [0.0], psi)
 
 
 def test_bare_rate_increases_with_field(prolate20):
@@ -170,9 +165,9 @@ def test_map_never_exceeds_bare_rate(prolate20):
     mode = rotational_mode(prolate20, OMEGA_PHI_20)
     B = np.linspace(0.0, 0.1, 11)
     psi = np.linspace(0.05, math.pi / 2 - 0.01, 13)
-    cmap = coupling_map(mode, B, psi)
+    lam_tilde, _ = coupling_map_rows(mode, B, psi)
     lam = C.gamma_nv * B * mode.phi0
-    assert np.all(cmap.lambda_tilde <= lam[:, None] + 1e-12)
+    assert np.all(lam_tilde <= lam[:, None] + 1e-12)
 
 
 def test_resonance_overlay_passes_through_solved_point(prolate20):
@@ -211,15 +206,15 @@ def test_map_feasibility_flag(prolate20):
     mode = rotational_mode(prolate20, OMEGA_PHI_20)
     B = np.array([0.001, 0.03, 0.05])
     psi = np.array([0.3, math.pi / 4])
-    cmap = coupling_map(mode, B, psi, rabi_cap=RABI_TECHNICAL_CAP)
+    _, feasible = coupling_map_rows(mode, B, psi)
     # at 1 mT the e-d gap is below the phonon frequency: infeasible everywhere
-    assert not cmap.feasible[0].any()
+    assert not feasible[0].any()
     # at 30 mT a resonant microwave fits under the technical Rabi cap
-    assert cmap.feasible[1].all()
+    assert feasible[1].all()
     # at 50 mT the resonant point needs ~1.13 GHz: beyond the cap, while the
     # detuned low-psi branch remains reachable
-    assert cmap.feasible[2, 0]
-    assert not cmap.feasible[2, 1]
+    assert feasible[2, 0]
+    assert not feasible[2, 1]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # 1 GHz drive leakage note

@@ -101,17 +101,6 @@ def test_dressed_frame_energy():
     assert d.omega_e_prime == pytest.approx(expected, rel=1e-12)
 
 
-def test_drive_frequency_equivalent_to_detuning():
-    m = mixed_spectrum(SpinConfig(B=0.03))
-    delta = 30e6
-    d1 = dressed_spectrum(m, MicrowaveConfig(rabi_frequency=400e6, detuning=delta))
-    d2 = dressed_spectrum(m, MicrowaveConfig(
-        rabi_frequency=400e6,
-        drive_frequency=m.omega_dg / TWO_PI + delta))
-    assert d1.psi == pytest.approx(d2.psi, rel=1e-12)
-    assert d1.omega_e_prime == pytest.approx(d2.omega_e_prime, rel=1e-12)
-
-
 def test_leakage_warning_for_strong_drive():
     m = mixed_spectrum(SpinConfig(B=0.03))
     with pytest.warns(UserWarning):
@@ -259,7 +248,5 @@ def test_config_validation():
         SpinConfig(B=-0.01)
     with pytest.raises(ValueError):
         MicrowaveConfig(rabi_frequency=0.0, detuning=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         MicrowaveConfig(rabi_frequency=1e6)
-    with pytest.raises(ValueError):
-        MicrowaveConfig(rabi_frequency=1e6, detuning=0.0, drive_frequency=1e9)

@@ -8,9 +8,10 @@ from levrot import quantum_sim
 from levrot.coupling import DecoherenceBudget
 from levrot.nv_spin import TWO_PI
 from levrot.quantum_sim import (QuantumModel, LindbladChannels, EvolutionResult,
-                                NoOscillationError, PositivityError, build_model,
+                                PositivityError, build_model,
                                 resonant_model, evolve, exchange_frequency,
                                 thermal_initial_state, SPIN_LABELS)
+from levrot.spectral import NoLineError
 
 LAM = 57e3                 # Hz, reference exchange rate
 OMEGA_PHI = TWO_PI * 5e6   # rad/s
@@ -154,7 +155,7 @@ def test_exchange_frequency_needs_oscillation():
                              energy=np.zeros(times.size),
                              coherence_pe=np.zeros(times.size, complex),
                              model=model)
-    with pytest.raises(NoOscillationError):
+    with pytest.raises(NoLineError):
         exchange_frequency(result)
 
 

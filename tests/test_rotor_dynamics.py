@@ -16,7 +16,8 @@ from levrot.geometry import ProlateEllipsoid, Sphere, TotalCharge, build_body
 from levrot.rotor_dynamics import (ANGLE_LIMIT, RotorState, DampingModel, Trajectory,
                                    simulate_linear, simulate_nonlinear,
                                    simulate_mathieu, extract_secular_frequency,
-                                   PeakExtractionError, _angle_coefficients)
+                                   _angle_coefficients)
+from levrot.spectral import NoLineError
 from levrot.studio.cli import main
 from levrot.trap import (TrapConfig, Mode, MathieuCoefficients,
                          mathieu_coefficients, secular_frequency,
@@ -42,7 +43,7 @@ def synthetic_trajectory(f0_hz, fs_hz=512e6, n=4096, drive_radps=W50):
     y = 0.01 * np.cos(TWO_PI * f0_hz * t + 0.3)
     return Trajectory(times=t, phi1=y, phi2=np.zeros(n), dphi1=np.zeros(n),
                       dphi2=np.zeros(n), sample_interval=1.0 / fs_hz,
-                      metadata={"drive_frequency_radps": drive_radps})
+                      drive_frequency=drive_radps)
 
 
 def test_free_rotor_stays_put():
@@ -259,6 +260,17 @@ def test_extraction_on_synthetic_tone():
     assert omega / TWO_PI == pytest.approx(5.037e6, rel=1e-3)
 
 
+def test_extraction_reads_the_angle_with_the_larger_variance():
+    strong, weak = synthetic_trajectory(5e6).phi1, 0.5 * synthetic_trajectory(7e6).phi1
+    on_phi2 = dataclasses.replace(synthetic_trajectory(5e6), phi1=weak, phi2=strong)
+    assert extract_secular_frequency(on_phi2) / TWO_PI == pytest.approx(5e6, rel=1e-3)
+    on_phi1 = dataclasses.replace(on_phi2, phi1=strong, phi2=weak)
+    assert extract_secular_frequency(on_phi1) / TWO_PI == pytest.approx(5e6, rel=1e-3)
+    # the weaker tone alone is found, so the choice above is the rule's
+    only_weak = dataclasses.replace(on_phi2, phi2=np.zeros_like(weak))
+    assert extract_secular_frequency(only_weak) / TWO_PI == pytest.approx(7e6, rel=1e-3)
+
+
 def test_extraction_with_damping_broadening(trap50):
     f0 = 5e6
     fs, n = 512e6, 4096
@@ -266,7 +278,7 @@ def test_extraction_with_damping_broadening(trap50):
     y = 0.01 * np.cos(TWO_PI * f0 * t) * np.exp(-TWO_PI * f0 / 10 * t / TWO_PI)
     traj = Trajectory(times=t, phi1=y, phi2=np.zeros(n), dphi1=np.zeros(n),
                       dphi2=np.zeros(n), sample_interval=1 / fs,
-                      metadata={"drive_frequency_radps": W50})
+                      drive_frequency=W50)
     assert extract_secular_frequency(traj) / TWO_PI == pytest.approx(f0, rel=0.05)
 
 
@@ -276,18 +288,18 @@ def test_extraction_rejects_flat_signal():
     traj = Trajectory(times=t, phi1=np.full(n, 0.01), phi2=np.zeros(n),
                       dphi1=np.zeros(n), dphi2=np.zeros(n),
                       sample_interval=1e-8,
-                      metadata={"drive_frequency_radps": W50})
-    with pytest.raises(PeakExtractionError):
+                      drive_frequency=W50)
+    with pytest.raises(NoLineError):
         extract_secular_frequency(traj)
 
 
 def test_extraction_rejects_short_and_unstable():
     traj = synthetic_trajectory(5e6, n=512)
-    with pytest.raises(PeakExtractionError):
+    with pytest.raises(NoLineError):
         extract_secular_frequency(traj)
     traj = synthetic_trajectory(5e6)
     traj.unstable = True
-    with pytest.raises(PeakExtractionError):
+    with pytest.raises(NoLineError):
         extract_secular_frequency(traj)
 
 

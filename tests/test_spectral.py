@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from levrot.quantum_sim import (EXCITED, LindbladChannels, NoOscillationError, evolve,
+from levrot.quantum_sim import (EXCITED, LindbladChannels, evolve,
                                 exchange_frequency, resonant_model)
 from levrot.rotor_dynamics import (DampingModel, RotorState, extract_secular_frequency,
                                    simulate_mathieu)
@@ -137,5 +137,5 @@ def test_dissipative_exchange_is_a_liouvillian_eigenvalue(kind, N_max, channels)
     want = _strongest_in_band(lam.imag / TWO_PI, np.abs(w) * envelope, times)
     f = exchange_frequency(evolve(model, rho0, times, channels))
     assert f == pytest.approx(want, rel=1e-8)
-    with pytest.raises(NoOscillationError):
+    with pytest.raises(NoLineError):
         exchange_frequency(evolve(model, model.basis_state("minus", 0), times, channels))

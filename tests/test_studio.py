@@ -12,7 +12,6 @@ import pytest
 from levrot.geometry import Composite, ProlateEllipsoid
 from levrot.studio.cli import main
 from levrot.studio.config import RunConfig, ConfigError, DEFAULT_CONFIG, write_schema
-from levrot.studio.sweep import resolve_threads
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -65,6 +64,14 @@ def test_composite_particle_config():
     spec = cfg.particle_spec()
     assert isinstance(spec, Composite)
     assert spec.c == pytest.approx(1e-8)
+
+
+def test_composite_particle_keeps_configured_values():
+    # c_m / b_m * b_m would build this disk 2.9999999999999996e-09 m thick
+    particle = {"shape": "composite", "b_m": 2.1e-8, "a_m": 5e-8, "c_m": 3e-9,
+                "disk_material": "diamond", "zero_mass_disk": True}
+    assert RunConfig({"particle": particle}).particle_spec() == Composite(
+        b=2.1e-8, a=5e-8, c=3e-9, disk_material="diamond", zero_mass_disk=True)
 
 
 def test_missing_required_particle_keys():
@@ -333,16 +340,14 @@ def test_rejected_config_writes_nothing(tmp_path, capsys, verb, config, output):
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_resolve_threads_env(monkeypatch):
-    monkeypatch.delenv("LEVROT_THREADS", raising=False)
-    assert resolve_threads(None) == 1
-    assert resolve_threads(4) == 4
-    monkeypatch.setenv("LEVROT_THREADS", "3")
-    assert resolve_threads(None) == 3
-    assert resolve_threads(2) == 2
-    monkeypatch.setenv("LEVROT_THREADS", "many")
-    with pytest.raises(ValueError):
-        resolve_threads(None)
+def test_threads_below_one_run_serially(tmp_path):
+    _, default = run_cli(tmp_path / "default", "fig2-map", config=SMALL_MAP_CONFIG)
+    for threads in ("0", "-3"):
+        code, out = run_cli(tmp_path / threads, "fig2-map", config=SMALL_MAP_CONFIG,
+                            extra=("--threads", threads))
+        assert code == 0
+        assert (out / "fig2_map.csv").read_bytes() == \
+            (default / "fig2_map.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
