@@ -48,7 +48,7 @@ print(f"\nstability boundary on the a=0 axis: q_c = {stability_boundary_q():.4f}
 # room-temperature angular spread for the two reference sizes
 for b, a, f_phi in ((20e-9, 50e-9, 5e6), (80e-9, 200e-9, 0.5e6)):
     p = build_body(ProlateEllipsoid(a=a, b=b), TotalCharge(E))
-    rms = thermal_angle(p, TWO_PI * f_phi, 300.0).rms_angle
+    rms = thermal_angle(p, TWO_PI * f_phi, 300.0)
     print(f"b = {b*1e9:3.0f} nm at omega_phi/2pi = {f_phi/1e6:.1f} MHz: "
           f"sqrt(<phi^2>) = {rms:.3f} rad at 300 K")
 

@@ -34,7 +34,7 @@ print(f"map maximum {lam.max()/1e3:.1f} kHz "
       f"{feasible.mean():.2f} under a 1 GHz Rabi cap")
 
 sol = resonance_solve(SpinConfig(B=0.0), 500e6, TWO_PI * 5e6, solve_for="field")
-report = dressed_coupling(mode, sol.mixed, sol.dressed, B=sol.B)
+report = dressed_coupling(mode, sol.mixed, sol.dressed)
 print(f"at the 500 MHz resonant point (B = {sol.B*1e3:.2f} mT): "
       f"lambda = {report.lambda_phi/1e3:.1f} kHz, "
       f"lambda_tilde = {report.lambda_tilde/1e3:.1f} kHz")
@@ -57,20 +57,14 @@ family80 = {
 for label, shapes, f_phi in (("b = 20 nm,  5 MHz", family20, 5e6),
                              ("b = 80 nm, 0.5 MHz", family80, 0.5e6)):
     print(f"\n{label}: lambda_tilde (kHz) at Omega_R = 250 / 500 / 1000 MHz")
-    points = coupling_vs_rabi(shapes, [250e6, 500e6, 1000e6], TWO_PI * f_phi)
-    curves = {}
-    for p in points:
-        curves.setdefault(p.shape_id, []).append(p.lambda_tilde / 1e3)
-    for sid, lams in curves.items():
+    _, lam = coupling_vs_rabi(shapes, [250e6, 500e6, 1000e6], TWO_PI * f_phi)
+    for sid, lams in zip(shapes, lam.T / 1e3):
         print(f"  {sid:>20}: " + " / ".join(f"{v:6.1f}" for v in lams))
 
 # does it beat decoherence?  20 nm needs T2 ~ 150 us; 80 nm closer to 1 ms
 for label, lam, budget in (
         ("b=20 nm, T2*=150 us", 56.9e3, DecoherenceBudget(T1=1e6, T2_star=150e-6)),
         ("b=80 nm, T2*=1 ms", 5.6e3, DecoherenceBudget(T1=1e6, T2_star=1e-3))):
-    verdict = strong_coupling_assessment(report.__class__(
-        lambda_phi=lam, lambda_tilde=lam, theta=report.theta, psi=report.psi,
-        B=report.B, omega_phi=report.omega_phi, rwa_bound=report.rwa_bound,
-        rwa_ok=True, phonon_ratio=0.0), budget)
+    verdict = strong_coupling_assessment(lam, budget)
     print(f"{label}: lambda_tilde*T2 = {verdict.ratio_T2:.1f} "
           f"-> strong coupling: {verdict.strong}")

@@ -1,7 +1,8 @@
 """Quantized rotational mode, dressed spin-phonon coupling rates, strong-coupling
 assessment, and the generators of the coupling map (lambda_tilde and
 resonance feasibility over field rows and microwave angles), the resonant
-psi(B) curve and the Rabi-sweep curves."""
+psi(B) curve and the Rabi sweep (the resonant field per Rabi value and
+lambda_tilde per Rabi value and shape)."""
 
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ RABI_TECHNICAL_CAP = 1.0e9  # Hz; driving much beyond this is impractical
 @dataclass(frozen=True)
 class RotationalMode:
     omega_phi: float   # rad/s
-    I_y: float         # kg m^2
     phi0: float        # zero-point angle, rad
     L0: float          # zero-point angular momentum, J s
 
@@ -34,7 +34,7 @@ def rotational_mode(body: BodyProperties, omega_phi: float,
         raise ValueError("rotational frequency must be positive")
     phi0 = math.sqrt(constants.hbar / (2.0 * body.I_Y * omega_phi))
     L0 = math.sqrt(constants.hbar * body.I_Y * omega_phi / 2.0)
-    return RotationalMode(omega_phi=omega_phi, I_y=body.I_Y, phi0=phi0, L0=L0)
+    return RotationalMode(omega_phi=omega_phi, phi0=phi0, L0=L0)
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,8 @@ class CouplingReport:
     lambda_tilde: float      # lambda_phi * cos(theta) * sin(psi), Hz
     theta: float             # rad
     psi: float               # rad
-    B: float                 # T
-    omega_phi: float         # rad/s
     rwa_bound: float         # 10 |omega_e' - omega_+| / (2 pi), Hz
     rwa_ok: bool
-    phonon_ratio: float      # 2*pi*lambda_tilde / omega_phi (conventional check)
 
 
 @dataclass(frozen=True)
@@ -76,28 +73,26 @@ class StrongCouplingVerdict:
 
 
 def dressed_coupling(mode: RotationalMode, spin: MixedSpinSpectrum,
-                     dressed: DressedSpectrum, B: float | None = None) -> CouplingReport:
-    """Coupling rate of the resonant |+,N+1> <-> |e,N> ladder."""
-    if B is None:
-        B = spin.config.B
-    lam = spin.config.gamma * B * mode.phi0
+                     dressed: DressedSpectrum) -> CouplingReport:
+    """Coupling rate of the resonant |+,N+1> <-> |e,N> ladder, at the field
+    of spin.config."""
+    lam = spin.config.gamma * spin.config.B * mode.phi0
     lam_tilde = lam * math.cos(spin.theta) * math.sin(dressed.psi)
     bound = 10.0 * abs(dressed.omega_e_prime - dressed.omega_plus) / TWO_PI
     return CouplingReport(lambda_phi=lam, lambda_tilde=lam_tilde,
-                          theta=spin.theta, psi=dressed.psi, B=B,
-                          omega_phi=mode.omega_phi,
-                          rwa_bound=bound, rwa_ok=lam_tilde <= bound,
-                          phonon_ratio=TWO_PI * lam_tilde / mode.omega_phi)
+                          theta=spin.theta, psi=dressed.psi,
+                          rwa_bound=bound, rwa_ok=lam_tilde <= bound)
 
 
-def strong_coupling_assessment(report: CouplingReport,
+def strong_coupling_assessment(lambda_tilde: float,
                                budget: DecoherenceBudget) -> StrongCouplingVerdict:
-    """Strong coupling iff the exchange rate beats both 1/T1 and 1/T2.
+    """Strong coupling iff the exchange rate lambda_tilde (Hz) beats both
+    1/T1 and 1/T2.
 
     The ratios themselves are reported; the binary verdict uses threshold 1.
     """
-    r1 = report.lambda_tilde * budget.T1
-    r2 = report.lambda_tilde * budget.T2
+    r1 = lambda_tilde * budget.T1
+    r2 = lambda_tilde * budget.T2
     return StrongCouplingVerdict(strong=r1 > 1.0 and r2 > 1.0,
                                  ratio_T1=r1, ratio_T2=r2)
 
@@ -152,39 +147,27 @@ def resonance_curve(mode: RotationalMode, B_values, rabi_frequency: float,
     return psi, feasible
 
 
-@dataclass(frozen=True)
-class RabiCurvePoint:
-    rabi_frequency: float    # Hz
-    B: float                 # T; NaN when the resonance is unreachable
-    shape_id: str
-    lambda_tilde: float      # Hz; NaN when unreachable
-    feasible: bool
-
-
 def coupling_vs_rabi(shapes: dict[str, BodyProperties], rabi_values, omega_phi: float,
-                     constants: PhysicalConstants = DEFAULT_CONSTANTS) -> list[RabiCurvePoint]:
-    """One resonant (detuning zero) coupling curve per shape.
+                     constants: PhysicalConstants = DEFAULT_CONSTANTS):
+    """Resonant (detuning zero) coupling of each shape at each Rabi frequency.
 
     For each Rabi frequency the field is tuned to meet the resonance; every
     shape then shares (B, theta, psi=pi/4) and differs only through phi0.
+    Returns (B, lambda_tilde): the field in T per Rabi value, and
+    lambda_tilde in Hz of shape (Rabi values, shapes), shapes in the order
+    of the dict.  Both are NaN where the resonance is unreachable.
     """
-    modes = {sid: rotational_mode(body, omega_phi, constants)
-             for sid, body in shapes.items()}
-    points = []
-    for rabi in rabi_values:
+    modes = [rotational_mode(body, omega_phi, constants) for body in shapes.values()]
+    B = np.full(len(rabi_values), math.nan)
+    lam = np.full((len(rabi_values), len(modes)), math.nan)
+    for i, rabi in enumerate(rabi_values):
         try:
             sol = resonance_solve(SpinConfig.from_constants(0.0, constants),
                                   rabi_frequency=rabi, omega_phi=omega_phi,
                                   solve_for="field")
         except ResonanceUnreachableError:
-            for sid in shapes:
-                points.append(RabiCurvePoint(rabi_frequency=rabi, B=math.nan,
-                                             shape_id=sid, lambda_tilde=math.nan,
-                                             feasible=False))
             continue
-        for sid, mode in modes.items():
-            report = dressed_coupling(mode, sol.mixed, sol.dressed, B=sol.B)
-            points.append(RabiCurvePoint(rabi_frequency=rabi, B=sol.B, shape_id=sid,
-                                         lambda_tilde=report.lambda_tilde,
-                                         feasible=True))
-    return points
+        B[i] = sol.B
+        lam[i] = [dressed_coupling(mode, sol.mixed, sol.dressed).lambda_tilde
+                  for mode in modes]
+    return B, lam

@@ -101,7 +101,6 @@ class DressedSpectrum:
     omega_minus: float    # rad/s
     omega_e_prime: float  # rad/s
     detuning: float       # rad/s
-    rabi_angular: float   # rad/s
     vectors: np.ndarray
 
     @property
@@ -191,7 +190,6 @@ def dressed_spectrum(mixed: MixedSpinSpectrum, mw: MicrowaveConfig) -> DressedSp
     e = np.array([0.0, 0.0, 1.0], dtype=complex)
     return DressedSpectrum(psi=psi, omega_plus=0.5 * w, omega_minus=-0.5 * w,
                            omega_e_prime=omega_e_prime, detuning=delta,
-                           rabi_angular=rabi,
                            vectors=np.column_stack([plus, minus, e]))
 
 

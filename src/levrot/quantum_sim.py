@@ -3,11 +3,12 @@
 A model is its Hamiltonian (rad/s), built from the three dressed levels and
 omega_phi on the basis {|+>, |->, |e>} x {|0> .. |N_max>} that
 QuantumModel.index lays out.  Dimensions stay small (3*(N_max+1) <= a few
-tens), so propagation is exact: evolve checks and measures the states in
-stacks of consecutive samples, from eigenbasis phases when unitary or from
-exp(L dt) steps of each invariant block of rho otherwise.  The exchange
-frequency is the strongest matrix-pencil pole of the |e> population
-(spectral.dominant_pole); only dissipative runs load scipy, for expm.
+tens), so propagation is exact: evolve checks the states, and records their
+populations and purity, in stacks of consecutive samples, from eigenbasis
+phases when unitary or from exp(L dt) steps of each invariant block of rho
+otherwise.  The exchange frequency is the strongest matrix-pencil pole of
+the |e> population (spectral.dominant_pole); only dissipative runs load
+scipy, for expm.
 """
 
 from __future__ import annotations
@@ -174,15 +175,10 @@ class EvolutionResult:
     times: np.ndarray          # (nt,)
     populations: np.ndarray    # (nt, dim), diagonal of rho
     purity: np.ndarray         # (nt,)
-    energy: np.ndarray         # (nt,), tr(H rho) in rad/s
-    coherence_pe: np.ndarray   # (nt,) complex, sum_n <+,n|rho|e,n>
     model: QuantumModel = field(repr=False, default=None)
 
     def spin_population(self, spin) -> np.ndarray:
         return self.populations[:, self.model.block(spin)].sum(axis=1)
-
-    def level_population(self, spin, n: int) -> np.ndarray:
-        return self.populations[:, self.model.index(spin, n)]
 
 
 class PositivityError(RuntimeError):
@@ -284,6 +280,7 @@ def evolve(model: QuantumModel, initial: np.ndarray, times: np.ndarray,
     H; dissipative runs step through the exact exponential of the Liouvillian
     of each invariant block.  Trace, hermiticity and positivity are enforced
     at every sample; the first sample that fails raises PositivityError.
+    The result holds the populations and the purity at each sample.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
@@ -295,23 +292,18 @@ def evolve(model: QuantumModel, initial: np.ndarray, times: np.ndarray,
     nt = times.size
     populations = np.empty((nt, model.dim))
     purity = np.empty(nt)
-    energy = np.empty(nt)
-    coherence = np.empty(nt, dtype=complex)
     rho0 = _as_density_matrix(initial, model.dim)
     diag = np.arange(model.dim)
-    plus, excited = model.block(PLUS), model.block(EXCITED)
     i = 0
     for stack in _stacks(model, rho0, times, channels):
         done = slice(i, i + len(stack))
         _check(stack, times[done])
         populations[done] = stack[:, diag, diag].real
         purity[done] = _trace(stack @ stack).real
-        energy[done] = _trace(model.H @ stack).real
-        coherence[done] = _trace(stack[:, plus, excited])
         i = done.stop
 
     return EvolutionResult(times=times, populations=populations, purity=purity,
-                           energy=energy, coherence_pe=coherence, model=model)
+                           model=model)
 
 
 # ---------------------------------------------------------------------------

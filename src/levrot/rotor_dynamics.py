@@ -33,7 +33,6 @@ class RotorState:
     phi2: float    # rotation about x', rad
     dphi1: float   # rad/s
     dphi2: float   # rad/s
-    time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -55,11 +54,6 @@ class Trajectory:
     sample_interval: float       # s
     drive_frequency: float       # Omega of the trap, rad/s
     unstable: bool = False
-
-    def state(self, i: int) -> RotorState:
-        return RotorState(phi1=float(self.phi1[i]), phi2=float(self.phi2[i]),
-                          dphi1=float(self.dphi1[i]), dphi2=float(self.dphi2[i]),
-                          time=float(self.times[i]))
 
 
 def _angle_coefficients(body: BodyProperties, trap: TrapConfig):

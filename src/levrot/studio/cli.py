@@ -18,7 +18,7 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +39,6 @@ class OutputContext:
     fmt: str
     threads: int
     constants: PhysicalConstants
-    warnings: list[str] = field(default_factory=list)
-
-    def warn(self, message: str):
-        self.warnings.append(message)
 
     def path(self, name: str) -> Path:
         """Where main writes the table called name."""
@@ -136,8 +132,8 @@ def cmd_fig2_map(cfg: RunConfig, ctx: OutputContext):
         psi[i], ok[i] = cpl.resonance_curve(mode, B_values, rabi, ctx.constants)
         n_bad = int(np.count_nonzero(~ok[i]))
         if n_bad:
-            ctx.warn(f"fig2-map overlay OmegaR={rabi:g} Hz: resonance unreachable "
-                     f"at {n_bad} of {n_B} field values")
+            warnings.warn(f"fig2-map overlay OmegaR={rabi:g} Hz: resonance "
+                          f"unreachable at {n_bad} of {n_B} field values")
     overlay = _table("fig2_overlay", ["OmegaR_Hz", "B_T", "psi_rad", "feasible"],
                      np.repeat(np.asarray(rabis, dtype=float), n_B),
                      np.tile(B_values, len(rabis)),
@@ -156,17 +152,18 @@ def cmd_fig4_curves(cfg: RunConfig, ctx: OutputContext):
     for family in f4["families"]:
         bodies = _family_bodies(cfg, family["shapes"], family["b_m"],
                                 family["aspect_ratio"], ctx.constants)
-        points = cpl.coupling_vs_rabi(bodies, [float(r) for r in rabi_values],
+        B, lam = cpl.coupling_vs_rabi(bodies, [float(r) for r in rabi_values],
                                       TWO_PI * family["omega_phi_Hz"],
                                       ctx.constants)
-        n_bad = sum(not p.feasible for p in points)
+        n_bad = int(np.count_nonzero(np.isnan(lam)))
         if n_bad:
-            ctx.warn(f"fig4-curves family {family['label']}: "
-                     f"{n_bad} resonance-unreachable points flagged")
-        tables.append(_rows_table(
+            warnings.warn(f"fig4-curves family {family['label']}: "
+                          f"{n_bad} resonance-unreachable points flagged")
+        tables.append(_table(
             f"fig4_curves_{family['label']}",
             ["omega_R_hz", "B_T", "shape_id", "lambda_tilde_hz"],
-            [(p.rabi_frequency, p.B, p.shape_id, p.lambda_tilde) for p in points]))
+            np.repeat(rabi_values, len(bodies)), np.repeat(B, len(bodies)),
+            np.tile(list(bodies), rabi_values.size), lam.ravel()))
     for family, (name, _, rows) in zip(f4["families"], tables):
         print(f"fig4-curves[{family['label']}]: {len(rows)} points -> {ctx.path(name)}")
     return tables
@@ -180,10 +177,9 @@ def cmd_thermal(cfg: RunConfig, ctx: OutputContext):
     for case in cases:
         body = build_body(ProlateEllipsoid(a=case["a_m"], b=case["b_m"]),
                           SurfaceDensity(1e-6), constants=ctx.constants)
-        state = trap.thermal_angle(body, TWO_PI * case["omega_phi_Hz"],
-                                   th["temperature_K"], k_B=ctx.constants.k_B)
-        rms.append(state.rms_angle)
-        print(f"thermal[{case['label']}]: sqrt(<phi^2>) = {state.rms_angle:.4f} rad")
+        rms.append(trap.thermal_angle(body, TWO_PI * case["omega_phi_Hz"],
+                                      th["temperature_K"], k_B=ctx.constants.k_B))
+        print(f"thermal[{case['label']}]: sqrt(<phi^2>) = {rms[-1]:.4f} rad")
 
     def echo(key):  # each case's number as written, integer or not
         return np.array([case[key] for case in cases], dtype=object)
@@ -236,6 +232,8 @@ def cmd_dynamics(cfg: RunConfig, ctx: OutputContext):
     relative_error compares the extracted line with the small-angle secular
     formula; for a nonlinear run the line also depends on the amplitude, so
     it measures the departure from the small-angle model, not solver error.
+    Beyond the pseudopotential range (|q| > PSEUDOPOTENTIAL_Q_MAX) the formula
+    itself is off, which the run reports as a warning.
     """
     dyn = cfg.document["dynamics"]
     tc = cfg.trap_config()
@@ -244,6 +242,11 @@ def cmd_dynamics(cfg: RunConfig, ctx: OutputContext):
     secular = trap.secular_frequency(coeffs, tc)
     if secular.omega <= 0.0:
         raise RuntimeError("configured particle has no rotational confinement")
+    if not secular.pseudopotential_valid:
+        warnings.warn(f"dynamics: mode {coeffs.mode.value} has q = {coeffs.q:.3g}, "
+                      f"beyond the pseudopotential range |q| <= "
+                      f"{trap.PSEUDOPOTENTIAL_Q_MAX:g}; relative_error then measures "
+                      "the error of the secular formula, not of the trajectory")
     duration = dyn["n_secular_periods"] * TWO_PI / secular.omega
     init = rotor_dynamics.RotorState(phi1=dyn["phi1_0_rad"], phi2=dyn["phi2_0_rad"],
                                      dphi1=dyn["dphi1_0_radps"],
@@ -318,7 +321,7 @@ def _coupling_chain(cfg: RunConfig, ctx: OutputContext):
                                              ctx.constants)
     sol = nv_spin.resonance_solve(base, rs["OmegaR_Hz"], omega_phi,
                                   solve_for=rs["solve_for"])
-    report = cpl.dressed_coupling(mode, sol.mixed, sol.dressed, B=sol.B)
+    report = cpl.dressed_coupling(mode, sol.mixed, sol.dressed)
     return body, mode, sol, report
 
 
@@ -330,11 +333,11 @@ def _budget(cfg: RunConfig) -> cpl.DecoherenceBudget:
 def cmd_coupling(cfg: RunConfig, ctx: OutputContext):
     body, mode, sol, report = _coupling_chain(cfg, ctx)
     budget = _budget(cfg)
-    verdict = cpl.strong_coupling_assessment(report, budget)
+    verdict = cpl.strong_coupling_assessment(report.lambda_tilde, budget)
     if not report.rwa_ok:
-        ctx.warn("coupling: excitation-conserving reduction outside its "
-                 f"validity bound ({report.lambda_tilde:.3g} Hz > "
-                 f"{report.rwa_bound:.3g} Hz)")
+        warnings.warn("coupling: excitation-conserving reduction outside its "
+                      f"validity bound ({report.lambda_tilde:.3g} Hz > "
+                      f"{report.rwa_bound:.3g} Hz)")
     print(f"coupling: lambda = {report.lambda_phi / 1e3:.2f} kHz, "
           f"lambda_tilde = {report.lambda_tilde / 1e3:.2f} kHz, "
           f"strong = {verdict.strong} "
@@ -372,7 +375,7 @@ def cmd_jc_sim(cfg: RunConfig, ctx: OutputContext):
     for label in quantum_sim.SPIN_LABELS:
         columns += [f"P_{label}_{n}" for n in range(model.N_max + 1)]
     columns.append("purity")
-    verdict = cpl.strong_coupling_assessment(report, _budget(cfg))
+    verdict = cpl.strong_coupling_assessment(report.lambda_tilde, _budget(cfg))
     print(f"jc-sim: lambda_tilde = {report.lambda_tilde / 1e3:.2f} kHz, "
           f"population oscillation = {rate / 1e3:.2f} kHz, strong = {verdict.strong}")
     return [_table("jc_populations", columns,
@@ -438,8 +441,6 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             tables = VERBS[args.verb](cfg, ctx)
-        for message in dict.fromkeys(str(w.message) for w in caught):
-            ctx.warn(message)
         _check_file_names(ctx, tables)
         config_hash = cfg.sha256()
         args.out.mkdir(parents=True, exist_ok=True)
@@ -449,10 +450,10 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if ctx.warnings:
+    if caught:
         print("warnings:", file=sys.stderr)
-        for w in ctx.warnings:
-            print(f"  - {w}", file=sys.stderr)
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"  - {message}", file=sys.stderr)
     return 0
 
 

@@ -62,30 +62,21 @@ class MathieuCoefficients:
 class SecularMode:
     """One secular line: angular frequency plus a pseudopotential-validity flag."""
 
-    mode: Mode
     omega: float           # rad/s
     pseudopotential_valid: bool
 
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    mode: Mode
     stable: bool
     monodromy_trace: float
     quasi_frequency: float  # rad/s; 0 when unstable
 
 
 @dataclass(frozen=True)
-class ThermalState:
-    temperature: float     # K
-    rms_angle: float       # sqrt(<phi^2>), rad
-
-
-@dataclass(frozen=True)
 class ChargeBudget:
     required_charge: float      # |Q_tot|, C
     elementary_count: int
-    omega_ratio: float          # assumed omega_phi / omega_com
 
 
 class AntiTrappingError(ValueError):
@@ -128,7 +119,7 @@ def secular_frequency(coeffs: MathieuCoefficients, trap: TrapConfig) -> SecularM
         raise AntiTrappingError(
             f"mode {coeffs.mode}: a + q^2/2 = {s:.3e} < 0 (anti-trapping)")
     omega = 0.5 * trap.drive_frequency * math.sqrt(s)
-    return SecularMode(mode=coeffs.mode, omega=omega,
+    return SecularMode(omega=omega,
                        pseudopotential_valid=abs(coeffs.q) <= PSEUDOPOTENTIAL_Q_MAX)
 
 
@@ -184,7 +175,7 @@ def floquet_stability(coeffs: MathieuCoefficients, trap: TrapConfig) -> Stabilit
     """
     stable, trace = (x.item() for x in stability_chart(coeffs.a, coeffs.q))
     nu = math.acos(min(1.0, max(-1.0, trace / 2.0))) / math.pi if stable else 0.0
-    return StabilityVerdict(mode=coeffs.mode, stable=stable, monodromy_trace=trace,
+    return StabilityVerdict(stable=stable, monodromy_trace=trace,
                             quasi_frequency=0.5 * trap.drive_frequency * nu)
 
 
@@ -211,14 +202,13 @@ def stability_boundary_q(a: float = 0.0, q_lo: float = 0.5, q_hi: float = 1.5,
 # ---------------------------------------------------------------------------
 
 def thermal_angle(body: BodyProperties, omega_phi: float, temperature: float,
-                  k_B: float = DEFAULT_CONSTANTS.k_B) -> ThermalState:
-    """Equipartition rms angle sqrt(k_B T / (I_Y omega_phi^2))."""
+                  k_B: float = DEFAULT_CONSTANTS.k_B) -> float:
+    """Equipartition rms angle sqrt(k_B T / (I_Y omega_phi^2)), in rad."""
     if omega_phi <= 0.0:
         raise ValueError("rotational frequency must be positive")
     if temperature < 0.0:
         raise ValueError("temperature must be non-negative")
-    rms = math.sqrt(k_B * temperature / (body.I_Y * omega_phi ** 2))
-    return ThermalState(temperature=temperature, rms_angle=rms)
+    return math.sqrt(k_B * temperature / (body.I_Y * omega_phi ** 2))
 
 
 def charge_budget(body: BodyProperties, trap: TrapConfig, omega_phi: float, ratio: float,
@@ -237,4 +227,4 @@ def charge_budget(body: BodyProperties, trap: TrapConfig, omega_phi: float, rati
     Q = (math.sqrt(2.0) * body.mass * trap.drive_frequency * trap.z0 ** 2
          * omega_com / (trap.eta * trap.V_ac))
     count = math.ceil(Q / elementary_charge)
-    return ChargeBudget(required_charge=Q, elementary_count=count, omega_ratio=ratio)
+    return ChargeBudget(required_charge=Q, elementary_count=count)

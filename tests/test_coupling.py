@@ -82,7 +82,7 @@ def test_reference_rates_at_thirty_millitesla(prolate20, prolate80):
 
 def test_rate_at_solved_resonance(prolate20):
     mode, sol = resonant_chain(prolate20, OMEGA_PHI_20)
-    report = dressed_coupling(mode, sol.mixed, sol.dressed, B=sol.B)
+    report = dressed_coupling(mode, sol.mixed, sol.dressed)
     assert report.lambda_tilde == pytest.approx(60.17e3, rel=2e-3)
     assert report.lambda_tilde <= report.lambda_phi
     assert report.rwa_ok
@@ -90,7 +90,7 @@ def test_rate_at_solved_resonance(prolate20):
 
 def test_dressed_rate_identity(prolate20):
     mode, sol = resonant_chain(prolate20, OMEGA_PHI_20)
-    report = dressed_coupling(mode, sol.mixed, sol.dressed, B=sol.B)
+    report = dressed_coupling(mode, sol.mixed, sol.dressed)
     expected = (C.gamma_nv * sol.B * mode.phi0
                 * math.cos(0.5 * math.atan(2 * C.gamma_nv * sol.B
                                            / C.zero_field_splitting_D))
@@ -99,28 +99,19 @@ def test_dressed_rate_identity(prolate20):
 
 
 def test_strong_coupling_examples():
-    report = _report_with_rate(57e3)
-    verdict = strong_coupling_assessment(report, DecoherenceBudget(
+    verdict = strong_coupling_assessment(57e3, DecoherenceBudget(
         T1=1e6, T2_star=150e-6))
     assert verdict.strong
     assert verdict.ratio_T2 == pytest.approx(8.55, rel=1e-3)
 
-    verdict = strong_coupling_assessment(_report_with_rate(5.6e3),
+    verdict = strong_coupling_assessment(5.6e3,
                                          DecoherenceBudget(T1=1e6, T2_star=1e-3))
     assert verdict.strong
     assert verdict.ratio_T2 == pytest.approx(5.6, rel=1e-3)
 
-    verdict = strong_coupling_assessment(_report_with_rate(57e3),
+    verdict = strong_coupling_assessment(57e3,
                                          DecoherenceBudget(T1=1e6, T2_star=1e-9))
     assert not verdict.strong
-
-
-def _report_with_rate(lam_tilde):
-    from levrot.coupling import CouplingReport
-    return CouplingReport(lambda_phi=lam_tilde / 0.68, lambda_tilde=lam_tilde,
-                          theta=0.26, psi=math.pi / 4, B=0.03,
-                          omega_phi=OMEGA_PHI_20, rwa_bound=10 * 5e6,
-                          rwa_ok=True, phonon_ratio=0.01)
 
 
 def test_budget_combination_rule():
@@ -224,19 +215,12 @@ def test_rabi_sweep_families(prolate20, prolate80):
         "oblate": build_body(OblateEllipsoid(a=50e-9, b=20e-9), TotalCharge(E)),
     }
     rabi = [250e6, 500e6, 1000e6]
-    points = coupling_vs_rabi(shapes20, rabi, OMEGA_PHI_20)
-    assert len(points) == 6
-    by_shape = {}
-    for p in points:
-        assert p.feasible
-        by_shape.setdefault(p.shape_id, []).append(p)
-    for curve in by_shape.values():
-        lams = [p.lambda_tilde for p in curve]
-        fields = [p.B for p in curve]
-        assert all(a < b for a, b in zip(lams, lams[1:]))    # grows with Rabi
-        assert all(a < b for a, b in zip(fields, fields[1:]))  # so does B
-    at500 = {p.shape_id: p.lambda_tilde for p in points
-             if p.rabi_frequency == 500e6}
+    B, lam = coupling_vs_rabi(shapes20, rabi, OMEGA_PHI_20)
+    assert B.shape == (3,) and lam.shape == (3, 2)
+    assert not np.isnan(B).any() and not np.isnan(lam).any()
+    assert np.all(np.diff(lam, axis=0) > 0.0)  # grows with Rabi
+    assert np.all(np.diff(B) > 0.0)            # so does B
+    at500 = dict(zip(shapes20, lam[rabi.index(500e6)]))
     assert at500["prolate"] == pytest.approx(60.17e3, rel=2e-3)
     assert at500["oblate"] == pytest.approx(38.05e3, rel=2e-3)
 
@@ -252,8 +236,7 @@ def test_zero_mass_disk_bounds_composites(prolate80):
             Composite(b=80e-9, a=200e-9, c=5e-9, zero_mass_disk=True),
             SurfaceDensity(1e-6)),
     }
-    points = coupling_vs_rabi(shapes, [500e6], OMEGA_PHI_80)
-    lam = {p.shape_id: p.lambda_tilde for p in points}
+    lam = dict(zip(shapes, coupling_vs_rabi(shapes, [500e6], OMEGA_PHI_80)[1][0]))
     assert lam["zero_mass_disk"] >= lam["composite:0.0625"]
     assert lam["composite:0.0625"] >= lam["composite:0.125"]
     assert lam["composite:0.125"] >= lam["prolate"]
@@ -262,10 +245,10 @@ def test_zero_mass_disk_bounds_composites(prolate80):
 
 def test_rabi_sweep_flags_unreachable(prolate20):
     # a phonon frequency far above the reachable e-d gap below 1 tesla
-    points = coupling_vs_rabi({"prolate": prolate20}, [500e6], TWO_PI * 100e9)
-    assert len(points) == 1
-    assert not points[0].feasible
-    assert math.isnan(points[0].lambda_tilde)
+    B, lam = coupling_vs_rabi({"prolate": prolate20}, [500e6], TWO_PI * 100e9)
+    assert B.shape == (1,) and lam.shape == (1, 1)
+    assert math.isnan(B[0])
+    assert math.isnan(lam[0, 0])
 
 
 def test_cos_theta_factor_closed_form(prolate20):

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from levrot import quantum_sim
 from levrot.nv_spin import TWO_PI
-from levrot.quantum_sim import (CHECK_TOL, CHUNK_ENTRIES, EXCITED, PLUS, LindbladChannels,
+from levrot.quantum_sim import (CHECK_TOL, CHUNK_ENTRIES, LindbladChannels,
                                 PositivityError, evolve, resonant_model)
 
 LAM = 57e3                 # Hz
@@ -30,8 +30,6 @@ def _measure(model, states, times):
     nt = times.size
     populations = np.empty((nt, model.dim))
     purity = np.empty(nt)
-    energy = np.empty(nt)
-    coherence = np.empty(nt, dtype=complex)
     for i, rho in enumerate(states):
         tr = float(np.trace(rho).real)
         if abs(tr - 1.0) > CHECK_TOL:
@@ -44,9 +42,7 @@ def _measure(model, states, times):
             raise PositivityError(f"negative eigenvalue {eigs.min():.2e}")
         populations[i] = np.real(np.diag(rho))
         purity[i] = float(np.real(np.trace(rho @ rho)))
-        energy[i] = float(np.real(np.trace(model.H @ rho)))
-        coherence[i] = np.trace(rho[model.block(PLUS), model.block(EXCITED)])
-    return populations, purity, energy, coherence
+    return populations, purity
 
 
 # the dense superoperator over the whole row-major vec(rho), kept as the oracle
@@ -100,14 +96,12 @@ def test_stacked_measurement_matches_per_sample_loop(n_max, kind, monkeypatch):
         states = []
         unitary = evolve(model, rho0, times)
         expected = _measure(model, _unitary_states(model, rho0, times), times)
-        for got, want in zip((unitary.populations, unitary.purity, unitary.energy,
-                              unitary.coherence_pe), expected):
+        for got, want in zip((unitary.populations, unitary.purity), expected):
             assert np.array_equal(got, want)
         states = []
         dissipative = evolve(model, rho0, times, CHANNELS)
         expected = _measure(model, states, times)
-        for got, want in zip((dissipative.populations, dissipative.purity,
-                              dissipative.energy, dissipative.coherence_pe), expected):
+        for got, want in zip((dissipative.populations, dissipative.purity), expected):
             assert np.array_equal(got, want)
 
 

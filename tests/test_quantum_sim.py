@@ -17,6 +17,12 @@ LAM = 57e3                 # Hz, reference exchange rate
 OMEGA_PHI = TWO_PI * 5e6   # rad/s
 
 
+def _states(model, rho0, times, channels=LindbladChannels()):
+    """Every density matrix that evolve checks, from its own propagation."""
+    return np.concatenate([stack.copy()
+                           for stack in quantum_sim._stacks(model, rho0, times, channels)])
+
+
 def test_zero_coupling_gives_diagonal_hamiltonian():
     model = resonant_model(0.0, OMEGA_PHI, N_max=3)
     assert np.count_nonzero(model.H - np.diag(np.diag(model.H))) == 0
@@ -82,11 +88,13 @@ def test_transfer_time_for_reference_rate():
 def test_unitary_conservation_laws():
     model = resonant_model(LAM, OMEGA_PHI, N_max=4)
     times = np.linspace(0.0, 3.0 / LAM, 600)
-    result = evolve(model, model.basis_state("plus", 2), times)
+    psi0 = model.basis_state("plus", 2)
+    result = evolve(model, psi0, times)
     assert np.max(np.abs(result.populations.sum(axis=1) - 1.0)) <= 1e-9
     assert np.max(np.abs(result.purity - 1.0)) <= 1e-9
-    e0 = result.energy[0]
-    assert np.max(np.abs(result.energy - e0)) <= 1e-9 * abs(e0)
+    states = _states(model, np.outer(psi0, psi0.conj()), times)
+    energy = np.trace(model.H @ states, axis1=1, axis2=2).real
+    assert np.max(np.abs(energy - energy[0])) <= 1e-9 * abs(energy[0])
 
 
 def test_jc_conserves_excitation_number():
@@ -138,10 +146,7 @@ def test_exchange_frequency_synthetic():
     populations[:, 0] = 1.0 - populations[:, 4]
     model = resonant_model(LAM, OMEGA_PHI, N_max=1)
     result = EvolutionResult(times=times, populations=populations,
-                             purity=np.ones(times.size),
-                             energy=np.zeros(times.size),
-                             coherence_pe=np.zeros(times.size, complex),
-                             model=model)
+                             purity=np.ones(times.size), model=model)
     assert exchange_frequency(result) == pytest.approx(2 * LAM, rel=1e-3)
 
 
@@ -151,10 +156,7 @@ def test_exchange_frequency_needs_oscillation():
     populations[:, 0] = 1.0
     model = resonant_model(LAM, OMEGA_PHI, N_max=1)
     result = EvolutionResult(times=times, populations=populations,
-                             purity=np.ones(times.size),
-                             energy=np.zeros(times.size),
-                             coherence_pe=np.zeros(times.size, complex),
-                             model=model)
+                             purity=np.ones(times.size), model=model)
     with pytest.raises(NoLineError):
         exchange_frequency(result)
 
@@ -184,8 +186,10 @@ def test_coherence_decays_at_composite_rate():
     rho0[ip, ip] = rho0[ie, ie] = 0.5
     rho0[ip, ie] = rho0[ie, ip] = 0.5
     times = np.linspace(0.0, 2.0 * budget.T2, 400)
-    result = evolve(model, rho0, times, channels)
-    envelope = np.abs(result.coherence_pe)
+    evolve(model, rho0, times, channels)  # every state passes the checks
+    states = _states(model, rho0, times, channels)
+    plus, excited = model.block("plus"), model.block("e")
+    envelope = np.abs(np.trace(states[:, plus, excited], axis1=1, axis2=2))
     fitted_rate = -np.polyfit(times, np.log(envelope), 1)[0]
     assert fitted_rate == pytest.approx(1.0 / budget.T2, rel=0.02)
 
@@ -204,7 +208,7 @@ def test_phonon_loss_drains_fock_ladder():
     channels = LindbladChannels(phonon_decoherence_rate=1e6)
     times = np.linspace(0.0, 5e-6, 200)
     result = evolve(model, model.basis_state("plus", 3), times, channels)
-    n_mean = sum(n * result.level_population("plus", n)[-1] for n in range(4))
+    n_mean = sum(n * result.populations[-1, model.index("plus", n)] for n in range(4))
     assert n_mean < 3.0 * math.exp(-5.0) * 1.5
 
 

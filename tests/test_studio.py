@@ -451,6 +451,36 @@ def test_dynamics_verb(tmp_path):
     assert rel_err < 0.02
 
 
+def test_dynamics_warns_beyond_pseudopotential_range(tmp_path, capsys):
+    short = {"dynamics": {"n_secular_periods": 25.0, "samples": 2048}}
+    code, _ = run_cli(tmp_path / "default", "dynamics", config=short)
+    assert code == 0
+    assert "pseudopotential" not in capsys.readouterr().err
+    # the tilt mode of this composite has q = -0.706
+    composite = {**short, "particle": {"shape": "composite", "b_m": 2.1e-8,
+                                       "a_m": 5e-8, "c_m": 3e-9}}
+    code, out = run_cli(tmp_path / "composite", "dynamics", config=composite)
+    assert code == 0
+    assert (out / "dynamics_summary.csv").exists()
+    err = capsys.readouterr().err
+    assert "dynamics: mode rot_y has q = -0.706, beyond the pseudopotential range" in err
+    assert "relative_error then measures the error of the secular formula" in err
+
+
+def test_warnings_print_once_in_the_order_raised(tmp_path, capsys):
+    # the drive leakage note comes from resonance_solve, before the verb's own
+    # RWA warning
+    cfg = {"coupling": {"omega_phi_Hz": 1000.0},
+           "resonance": {"OmegaR_Hz": 1e9, "omega_phi_Hz": 1000.0, "solve_for": "field"}}
+    code, _ = run_cli(tmp_path, "coupling", config=cfg)
+    assert code == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "warnings:"
+    assert len(lines) == 3
+    assert lines[1].startswith("  - microwave drive may also address the d <-> e")
+    assert lines[2].startswith("  - coupling: excitation-conserving reduction outside")
+
+
 def test_spin_resonance_coupling_jc_verbs(tmp_path, capsys):
     for verb in ("spin", "resonance", "coupling"):
         code, _ = run_cli(tmp_path, verb)
@@ -641,7 +671,9 @@ LOADED = ("sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.
 def test_cli_import_and_table1_load_no_scipy(tmp_path):
     # scipy (and the process pool) load only inside the verbs that use them
     assert fresh_python(f"import sys, levrot.studio.cli; print({LOADED})") == "[]"
-    for verb in ("table1", "jc-sim"):  # the default jc-sim run is unitary
+    # the default jc-sim run is unitary
+    for verb in ("table1", "fig2-map", "fig4-curves", "thermal", "charges", "spin",
+                 "resonance", "coupling", "jc-sim"):
         probe = ("import sys, levrot.studio.cli; "
                  f"code = levrot.studio.cli.main(['--out', {str(tmp_path)!r}, {verb!r}]); "
                  f"print(code, {LOADED})")

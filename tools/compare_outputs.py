@@ -80,6 +80,12 @@ NAMED = {
                            ("dynamics",)),
     # a decaying linear trajectory, where the spectral estimators differ most
     "damped_dynamics": ({"dynamics": {"gamma_per_s": 5.0e5}}, ("dynamics",)),
+    # two warnings from one run: the drive leakage note raised inside
+    # resonance_solve, then the verb's RWA bound
+    "coupling_warnings": ({"coupling": {"omega_phi_Hz": 1000.0},
+                           "resonance": {"OmegaR_Hz": 1e9, "omega_phi_Hz": 1000.0,
+                                         "solve_for": "field"}},
+                          ("coupling",)),
 }
 
 _RUN = "import sys; from levrot.studio.cli import main; sys.exit(main(sys.argv[1:]))"
