@@ -6,9 +6,10 @@ QuantumModel.index lays out.  Dimensions stay small (3*(N_max+1) <= a few
 tens), so propagation is exact: evolve checks the states, and records their
 populations and purity, in stacks of consecutive samples, from eigenbasis
 phases when unitary or from exp(L dt) steps of each invariant block of rho
-otherwise.  The exchange frequency is the strongest matrix-pencil pole of
-the |e> population (spectral.dominant_pole); only dissipative runs load
-scipy, for expm.
+otherwise.  Positivity of a stack is screened by one batched Cholesky;
+eigvalsh runs only to name a failing sample.  The exchange frequency is the
+strongest matrix-pencil pole of the |e> population (spectral.dominant_pole);
+only dissipative runs load scipy, for expm.
 """
 
 from __future__ import annotations
@@ -254,20 +255,34 @@ def _trace(stack: np.ndarray) -> np.ndarray:
 
 def _check(stack: np.ndarray, times: np.ndarray):
     """Raise PositivityError for the first sample of the stack that fails the
-    trace, hermiticity or positivity check (tested in that order per sample)."""
+    trace, hermiticity or positivity check (tested in that order per sample).
+
+    A sample fails the first two unless they hold, so a NaN fails the trace or
+    hermiticity check.  Positivity, smallest eigenvalue of the hermitian part
+    not below -CHECK_TOL, is screened for the samples before the first such
+    failure by one batched Cholesky of their hermitian parts + CHECK_TOL * I;
+    only when that fails does eigvalsh run, to name the first negative sample.
+    """
+    adjoint = stack.conj().transpose(0, 2, 1)
     tr = _trace(stack).real
-    herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    broken = np.flatnonzero((np.abs(tr - 1.0) > CHECK_TOL) | (herm > 10.0 * CHECK_TOL))
+    herm = np.abs(stack - adjoint).max(axis=(1, 2))
+    sound = (np.abs(tr - 1.0) <= CHECK_TOL) & (herm <= 10.0 * CHECK_TOL)
+    broken = np.flatnonzero(~sound)
     first = broken[0] if broken.size else len(stack)
     if first:
-        sane = stack[:first]
-        low = np.linalg.eigvalsh(0.5 * (sane + sane.conj().transpose(0, 2, 1))).min(axis=1)
-        negative = np.flatnonzero(low < -CHECK_TOL)
-        if negative.size:
-            raise PositivityError(f"negative eigenvalue {low[negative[0]]:.2e}")
+        shifted = stack[:first] + adjoint[:first]
+        shifted *= 0.5
+        shifted.reshape(first, -1)[:, ::stack.shape[1] + 1] += CHECK_TOL  # the diagonals
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            low = np.linalg.eigvalsh(0.5 * (stack[:first] + adjoint[:first])).min(axis=1)
+            negative = np.flatnonzero(low < -CHECK_TOL)
+            if negative.size:
+                raise PositivityError(f"negative eigenvalue {low[negative[0]]:.2e}")
     if first == len(stack):
         return
-    if abs(tr[first] - 1.0) > CHECK_TOL:
+    if not abs(tr[first] - 1.0) <= CHECK_TOL:
         raise PositivityError(f"trace drifted to {float(tr[first])} at t={times[first]:.3e}")
     raise PositivityError(f"hermiticity violated by {herm[first]:.2e}")
 

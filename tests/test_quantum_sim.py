@@ -309,11 +309,18 @@ def _negative_eigenvalue(rho):
     return bad
 
 
+def _not_a_number(rho):
+    bad = rho.copy()
+    bad[0, 0] = math.nan
+    return bad
+
+
 K = quantum_sim.CHUNK_ENTRIES // 81  # samples per stack at N_max 2
 TRACE = r"^trace drifted to 0\.99999\d* at t={t}$"
+NAN = r"^trace drifted to nan at t={t}$"
 
 
-@pytest.mark.parametrize("faults, message", [
+FAULTS = pytest.mark.parametrize("faults, message", [
     ({K + 3: _negative_eigenvalue, K + 4: _trace_loss}, r"^negative eigenvalue -1\.00e-02$"),
     ({K + 3: lambda rho: _trace_loss(_negative_eigenvalue(rho))}, TRACE),
     ({K + 3: _hermiticity_loss, K + 4: _trace_loss}, r"^hermiticity violated by 1\.00e-06$"),
@@ -325,12 +332,18 @@ TRACE = r"^trace drifted to 0\.99999\d* at t={t}$"
     ({K - 1: _hermiticity_loss, K: _trace_loss}, r"^hermiticity violated by 1\.00e-06$"),
     ({2: _negative_eigenvalue, K + 3: _trace_loss}, r"^negative eigenvalue -1\.00e-02$"),
     ({K + 3: _trace_loss, 2 * K + 1: _negative_eigenvalue}, TRACE),
+    ({K + 3: _not_a_number, K + 4: _negative_eigenvalue}, NAN),
+    ({K + 3: _negative_eigenvalue, K + 4: _not_a_number}, r"^negative eigenvalue -1\.00e-02$"),
 ], ids=["negative-then-trace", "trace-beats-negative", "hermiticity-then-trace",
         "trace-then-hermiticity", "trace-beats-hermiticity", "hermiticity-beats-negative",
         "across-stacks-negative", "across-stacks-hermiticity", "first-stack-wins",
-        "second-stack-wins"])
-@pytest.mark.parametrize("channels", [LindbladChannels(), DISSIPATIVE],
-                         ids=["unitary", "dissipative"])
+        "second-stack-wins", "nan-then-negative", "negative-then-nan"])
+BOTH_PATHS = pytest.mark.parametrize("channels", [LindbladChannels(), DISSIPATIVE],
+                                     ids=["unitary", "dissipative"])
+
+
+@FAULTS
+@BOTH_PATHS
 def test_first_failing_sample_raises(monkeypatch, channels, faults, message):
     stacks = quantum_sim._stacks
 
@@ -351,3 +364,60 @@ def test_first_failing_sample_raises(monkeypatch, channels, faults, message):
     with pytest.raises(PositivityError,
                        match=message.format(t=re.escape(f"{times[first]:.3e}"))):
         evolve(model, model.basis_state("plus", 1), times, channels)
+
+
+# ---------------------------------------------------------------------------
+# The Cholesky screen of _check against the eigenvalue rule it stands in for
+# ---------------------------------------------------------------------------
+
+def _no_cholesky(a):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+@FAULTS
+@BOTH_PATHS
+def test_first_failing_sample_raises_without_screen(monkeypatch, channels, faults, message):
+    monkeypatch.setattr(np.linalg, "cholesky", _no_cholesky)
+    test_first_failing_sample_raises(monkeypatch, channels, faults, message)
+
+
+@BOTH_PATHS
+def test_eigenvalue_fallback_gives_identical_results(monkeypatch, channels):
+    model = resonant_model(LAM, OMEGA_PHI, N_max=4, kind="full_rabi")
+    times = np.linspace(0.0, 3.0 / LAM, 400)
+    initial = model.basis_state("e", 2)
+    screened = evolve(model, initial, times, channels)
+    monkeypatch.setattr(np.linalg, "cholesky", _no_cholesky)
+    unscreened = evolve(model, initial, times, channels)
+    assert screened.populations.tobytes() == unscreened.populations.tobytes()
+    assert screened.purity.tobytes() == unscreened.purity.tobytes()
+
+
+def _planted_state(rng, d, low):
+    """A hermitian, trace-one matrix whose smallest eigenvalue is low."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    rest = rng.uniform(0.1, 1.0, d - 1)
+    spectrum = np.append(rest * (1.0 - low) / rest.sum(), low)
+    rho = (q * spectrum) @ q.conj().T
+    return 0.5 * (rho + rho.conj().T)  # exactly hermitian
+
+
+@pytest.mark.parametrize("d", [9, 21, 33, 45])
+@pytest.mark.parametrize("low", [-quantum_sim.CHECK_TOL * (1.0 + 1e-3),
+                                 -quantum_sim.CHECK_TOL * (1.0 - 1e-3), -1e-2, 0.0, 1e-3],
+                         ids=["just-below-tol", "just-above-tol", "clearly-negative", "zero",
+                              "positive"])
+def test_cholesky_screen_agrees_with_eigenvalue_rule(d, low):
+    rng = np.random.default_rng(d)
+    healthy = [_planted_state(rng, d, 0.0) for _ in range(6)]
+    stack = np.array(healthy[:3] + [_planted_state(rng, d, low)] + healthy[3:])
+    times = 1e-7 * np.arange(len(stack))
+    lows = np.array([np.linalg.eigvalsh(rho).min() for rho in stack])
+    negative = np.flatnonzero(lows < -quantum_sim.CHECK_TOL)
+    if negative.size:
+        with pytest.raises(PositivityError,
+                           match=f"^{re.escape(f'negative eigenvalue {lows[negative[0]]:.2e}')}$"):
+            quantum_sim._check(stack, times)
+    else:
+        quantum_sim._check(stack, times)
+    assert negative.size == (low < -quantum_sim.CHECK_TOL)

@@ -36,6 +36,9 @@ NAMED = {
     "default": ({}, VERBS),
     "jc_full_rabi": ({"jc_sim": {"kind": "full_rabi", "N_max": 6, "samples": 900}},
                      ("jc-sim",)),
+    # d = 45, where the per-sample state check costs most
+    "jc_large": ({"jc_sim": {"kind": "full_rabi", "N_max": 14, "samples": 600}},
+                 ("jc-sim",)),
     "jc_full_rabi_dissipative": (
         {"jc_sim": {"kind": "full_rabi", "N_max": 4, "use_decoherence": True,
                     "phonon_rate_per_s": 1000.0, "initial_spin": "e", "initial_n": 2}},
