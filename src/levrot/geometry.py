@@ -13,7 +13,9 @@ scalars only, so the bytes depend on the platform libm and on no BLAS/LAPACK
 build; the tests check them against independent integrals.  Each shape is
 described once, as its list of spheroid pieces: the surface sums run over
 all of them, and the mass and inertia over the pieces that carry a material,
-each a solid spheroid with semi-axes (p, p, s).
+each a solid spheroid with semi-axes (p, p, s).  Every body is therefore
+axisymmetric about Z: one leverage S_Y and one transverse inertia I_Y serve
+a tilt about either transverse axis.
 """
 
 from __future__ import annotations
@@ -135,18 +137,14 @@ ChargeModel = TotalCharge | SurfaceDensity
 class SurfaceMoments:
     """Area and charge-weighted second moments of a uniformly charged surface.
 
-    R_mu2 = (integral of mu^2 dQ)/Q; S_X = R_Z2 - R_Y2 and S_Y = R_Z2 - R_X2
-    are the torque leverage factors of the rotational confinement.
+    R_mu2 = (integral of mu^2 dQ)/Q.  The surface is symmetric about Z, so
+    R_X2 is also the moment along Y, and S_Y = R_Z2 - R_X2, the torque
+    leverage factor of the rotational confinement, serves a tilt about X or Y.
     """
 
     area: float  # m^2
     R_X2: float  # m^2
-    R_Y2: float  # m^2
     R_Z2: float  # m^2
-
-    @property
-    def S_X(self) -> float:
-        return self.R_Z2 - self.R_Y2
 
     @property
     def S_Y(self) -> float:
@@ -155,10 +153,10 @@ class SurfaceMoments:
 
 @dataclass(frozen=True)
 class BodyProperties:
-    """Mass, principal inertia (Z the symmetry axis), surface moments, charge."""
+    """Mass, principal inertia (Z the symmetry axis; I_Y is also the inertia
+    about X), surface moments, charge."""
 
     mass: float      # kg
-    I_X: float       # kg m^2
     I_Y: float       # kg m^2
     I_Z: float       # kg m^2
     surface: SurfaceMoments
@@ -251,8 +249,7 @@ def surface_moments(spec: ParticleSpec) -> SurfaceMoments:
         area += d_area
         ix2 += d_ix2
         iz2 += d_iz2
-    return SurfaceMoments(area=area, R_X2=ix2 / area, R_Y2=ix2 / area,
-                          R_Z2=iz2 / area)
+    return SurfaceMoments(area=area, R_X2=ix2 / area, R_Z2=iz2 / area)
 
 
 # ---------------------------------------------------------------------------
@@ -260,31 +257,29 @@ def surface_moments(spec: ParticleSpec) -> SurfaceMoments:
 # ---------------------------------------------------------------------------
 
 def inertia_and_mass(spec: ParticleSpec, constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """(mass, I_X, I_Y, I_Z) in SI: solid spheroids (p, p, s) of the massive pieces."""
-    mass = I_X = I_Y = I_Z = 0.0
+    """(mass, I_Y, I_Z) in SI: solid spheroids (p, p, s) of the massive pieces."""
+    mass = I_Y = I_Z = 0.0
     for p, s, material in _pieces(spec):
         if material is None:
             continue
         m = constants.density(material) * (4.0 / 3.0) * math.pi * p * p * s
-        transverse = m * (p * p + s * s) / 5.0
         mass += m
-        I_X += transverse
-        I_Y += transverse
+        I_Y += m * (p * p + s * s) / 5.0
         I_Z += m * (p * p + p * p) / 5.0
-    return mass, I_X, I_Y, I_Z
+    return mass, I_Y, I_Z
 
 
 def build_body(spec: ParticleSpec, charge: ChargeModel,
                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> BodyProperties:
     """Assemble the full body record used by the trap and coupling layers."""
     moments = surface_moments(spec)
-    mass, I_X, I_Y, I_Z = inertia_and_mass(spec, constants)
+    mass, I_Y, I_Z = inertia_and_mass(spec, constants)
     if isinstance(charge, TotalCharge):
         Q = charge.Q_tot
     else:
         Q = charge.sigma * moments.area
-    return BodyProperties(mass=mass, I_X=I_X, I_Y=I_Y, I_Z=I_Z,
-                          surface=moments, Q=Q, spec=spec)
+    return BodyProperties(mass=mass, I_Y=I_Y, I_Z=I_Z, surface=moments, Q=Q,
+                          spec=spec)
 
 
 # closed-form spheroid areas in eccentricity form, used as independent checks

@@ -1,10 +1,11 @@
 """Time-domain dynamics of the two tilt angles and secular-frequency extraction.
 
-The linear (Mathieu) model of each angle is built from one drive period of
-trap._period_flow as x(nT + s) = Phi(s) M^n x(0); the nonlinear one keeps the
-full trigonometric torque (cos(phi2) sin(2 phi1) and cos^2(phi1) sin(2 phi2)),
-whose linearization reproduces the linear model exactly, under scipy's
-compiled DOP853 with one restart per sample.
+The body is axisymmetric (geometry), so both angles have the (a, q) of
+trap.Mode.ROT_Y.  The linear model applies one drive period of
+trap._period_flow to both as x(nT + s) = Phi(s) M^n x(0); the nonlinear one
+keeps the full trigonometric torque (cos(phi2) sin(2 phi1) and
+cos^2(phi1) sin(2 phi2)), whose linearization reproduces the linear model
+exactly, under scipy's compiled DOP853 with one restart per sample.
 Spin about the symmetry axis is held at zero throughout.  The secular
 frequency of a trajectory is the strongest matrix-pencil pole of its angle
 with the larger variance, below half the drive frequency
@@ -56,34 +57,28 @@ class Trajectory:
     unstable: bool = False
 
 
-def _angle_coefficients(body: BodyProperties, trap: TrapConfig):
-    # phi1 tilts about y (leverage S_Y), phi2 about x' (leverage S_X)
-    c1 = mathieu_coefficients(body, trap, Mode.ROT_Y)
-    c2 = mathieu_coefficients(body, trap, Mode.ROT_X)
-    return (c1.a, c2.a), (c1.q, c2.q)
-
-
-def _linear_trajectory(a, q, W: float, gamma: float, init: RotorState,
+def _linear_trajectory(a: float, q: float, W: float, gamma: float, init: RotorState,
                        duration: float, samples: int, rtol: float) -> Trajectory:
     """Both angles as x(nT + s) = Phi(s) M^n x(0), in tau = W t/2 with damping
-    d = gamma/W.  The run ends before the first sample beyond ANGLE_LIMIT;
-    M^n x(0) is not formed past the first period start beyond it."""
+    d = gamma/W; x is a 2x2 state whose columns are phi1 and phi2.  The run
+    ends before the first sample beyond ANGLE_LIMIT; M^n x(0) is not formed
+    past the first period start beyond it."""
     times = np.linspace(0.0, duration, samples)
     tau = 0.5 * W * times
     period = np.floor(tau / math.pi).astype(np.int64)
     s = np.clip(tau - period * math.pi, 0.0, math.pi)
     flow = _period_flow(a, q, gamma / W, np.append(s, math.pi), rtol=rtol)  # Phi(s), M
 
-    starts = [np.array([[init.phi1, 2.0 * init.dphi1 / W],
-                        [init.phi2, 2.0 * init.dphi2 / W]])]
-    while len(starts) <= period[-1] and np.max(np.abs(starts[-1][:, 0])) <= ANGLE_LIMIT:
-        starts.append(np.einsum("kij,kj->ki", flow[..., -1], starts[-1]))
+    starts = [np.array([[init.phi1, init.phi2],
+                        [2.0 * init.dphi1 / W, 2.0 * init.dphi2 / W]])]
+    while len(starts) <= period[-1] and np.max(np.abs(starts[-1][0])) <= ANGLE_LIMIT:
+        starts.append(np.einsum("ij,jk->ik", flow[..., -1], starts[-1]))
     keep = int(np.searchsorted(period, len(starts)))
 
-    x = np.einsum("kijm,mkj->kim", flow[..., :keep], np.asarray(starts)[period[:keep]])
-    over = np.flatnonzero(np.max(np.abs(x[:, 0]), axis=0) > ANGLE_LIMIT)
+    x = np.einsum("ijm,mjk->ikm", flow[..., :keep], np.asarray(starts)[period[:keep]])
+    over = np.flatnonzero(np.max(np.abs(x[0]), axis=0) > ANGLE_LIMIT)
     n = int(over[0]) if over.size else keep
-    y = np.concatenate([x[:, 0, :n], 0.5 * W * x[:, 1, :n]])  # phi1, phi2, dphi1, dphi2
+    y = np.concatenate([x[0, :, :n], 0.5 * W * x[1, :, :n]])  # phi1, phi2, dphi1, dphi2
     return Trajectory(times[:n], *y, times[1] - times[0], W, unstable=n < samples)
 
 
@@ -92,9 +87,9 @@ def simulate_linear(body: BodyProperties, trap: TrapConfig, init: RotorState,
                     samples: int = 4096, rtol: float = 1e-9) -> Trajectory:
     """Small-angle (Mathieu) dynamics of both tilt angles; rtol is the
     tolerance of the one-period integration behind it."""
-    return _linear_trajectory(*_angle_coefficients(body, trap),
-                              trap.drive_frequency, damping.gamma, init, duration,
-                              samples, rtol)
+    c = mathieu_coefficients(body, trap, Mode.ROT_Y)
+    return _linear_trajectory(c.a, c.q, trap.drive_frequency, damping.gamma, init,
+                              duration, samples, rtol)
 
 
 def simulate_nonlinear(body: BodyProperties, trap: TrapConfig, init: RotorState,
@@ -111,16 +106,17 @@ def simulate_nonlinear(body: BodyProperties, trap: TrapConfig, init: RotorState,
     """
     from scipy.integrate import ode
 
-    (a1, a2), (q1, q2) = _angle_coefficients(body, trap)
+    c = mathieu_coefficients(body, trap, Mode.ROT_Y)
+    a, q = c.a, c.q
     W = trap.drive_frequency
     k = 0.125 * W * W  # sin(2*phi)/2 -> phi recovers the linear model
     g = damping.gamma
 
     def rhs(t, y):
         p1, p2, v1, v2 = y.tolist()
-        drive = 2.0 * math.cos(W * t)
-        acc1 = k * (-a1 + q1 * drive) * math.cos(p2) * math.sin(2.0 * p1) - g * v1
-        acc2 = k * (-a2 + q2 * drive) * math.cos(p1) ** 2 * math.sin(2.0 * p2) - g * v2
+        torque = k * (-a + q * 2.0 * math.cos(W * t))
+        acc1 = torque * math.cos(p2) * math.sin(2.0 * p1) - g * v1
+        acc2 = torque * math.cos(p1) ** 2 * math.sin(2.0 * p2) - g * v2
         return [v1, v2, acc1, acc2]
 
     def blowup(t, y):  # at each accepted step and each restart; t = 0 is no step
@@ -151,7 +147,7 @@ def simulate_mathieu(a: float, q: float, drive_frequency: float, init: RotorStat
     """Normal-form Mathieu dynamics from given (a, q), for stability charts and
     cross-checks without a physical body; phi2 has the same coefficients."""
     duration = n_drive_periods * 2.0 * math.pi / drive_frequency
-    return _linear_trajectory((a, a), (q, q), drive_frequency, damping.gamma,
+    return _linear_trajectory(a, q, drive_frequency, damping.gamma,
                               init, duration, samples, rtol)
 
 

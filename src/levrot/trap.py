@@ -8,8 +8,10 @@ Mathieu normal form u'' + (a - 2 q cos 2 tau) u = 0, tau = Omega*t/2, with
 
     q = C V_ac / (J Omega^2),      a = -2 C V_dc / (J Omega^2),
 
-which for the rotational modes (C = 3 eta Q S_mu / z0^2) reproduces the
-axial-frequency relation omega_z = eta |Q| V_ac / (sqrt(2) m Omega z0^2).
+which for the rotational mode (C = 3 eta Q S_Y / z0^2, J = I_Y) reproduces
+the axial-frequency relation omega_z = eta |Q| V_ac / (sqrt(2) m Omega z0^2).
+Every body is axisymmetric about its Z axis (geometry), so this one
+rotational mode serves a tilt about either transverse axis.
 
 One period describes this periodic equation: _period_flow integrates it once
 for any number of points, for the Floquet verdicts and linear trajectories.
@@ -28,8 +30,7 @@ from .geometry import BodyProperties
 
 
 class Mode(enum.Enum):
-    ROT_X = "rot_x"        # tilt about the lab x axis, leverage S_X, inertia I_X
-    ROT_Y = "rot_y"        # tilt about the lab y axis, leverage S_Y, inertia I_Y
+    ROT_Y = "rot_y"        # tilt about either transverse axis, leverage S_Y, inertia I_Y
     COM_RADIAL = "com_radial"
     COM_AXIAL = "com_axial"
 
@@ -88,13 +89,10 @@ TRACE_TOL = 1e-9  # |tr M| up to 2 + TRACE_TOL counts as stable (marginal includ
 
 
 def _mode_curvature_and_inertia(body: BodyProperties, trap: TrapConfig, mode: Mode):
-    if mode in (Mode.ROT_X, Mode.ROT_Y):
-        S = body.surface.S_X if mode is Mode.ROT_X else body.surface.S_Y
-        J = body.I_X if mode is Mode.ROT_X else body.I_Y
-        if J <= 0.0:
+    if mode is Mode.ROT_Y:
+        if body.I_Y <= 0.0:
             raise ValueError(f"degenerate shape: zero inertia for {mode}")
-        C = 3.0 * trap.eta * body.Q * S / trap.z0 ** 2
-        return C, J
+        return 3.0 * trap.eta * body.Q * body.surface.S_Y / trap.z0 ** 2, body.I_Y
     # center-of-mass curvatures from z^2 - x^2/2 - y^2/2
     factor = -2.0 if mode is Mode.COM_AXIAL else 1.0
     C = factor * trap.eta * body.Q / trap.z0 ** 2
@@ -121,12 +119,6 @@ def secular_frequency(coeffs: MathieuCoefficients, trap: TrapConfig) -> SecularM
     omega = 0.5 * trap.drive_frequency * math.sqrt(s)
     return SecularMode(omega=omega,
                        pseudopotential_valid=abs(coeffs.q) <= PSEUDOPOTENTIAL_Q_MAX)
-
-
-def secular_spectrum(body: BodyProperties, trap: TrapConfig,
-                     modes=tuple(Mode)) -> dict[Mode, SecularMode]:
-    return {m: secular_frequency(mathieu_coefficients(body, trap, m), trap)
-            for m in modes}
 
 
 # ---------------------------------------------------------------------------

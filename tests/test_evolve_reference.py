@@ -32,10 +32,10 @@ def _measure(model, states, times):
     purity = np.empty(nt)
     for i, rho in enumerate(states):
         tr = float(np.trace(rho).real)
-        if abs(tr - 1.0) > CHECK_TOL:
+        if not abs(tr - 1.0) <= CHECK_TOL:
             raise PositivityError(f"trace drifted to {tr} at t={times[i]:.3e}")
         herm = np.max(np.abs(rho - rho.conj().T))
-        if herm > 10.0 * CHECK_TOL:
+        if not herm <= 10.0 * CHECK_TOL:
             raise PositivityError(f"hermiticity violated by {herm:.2e}")
         eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
         if eigs.min() < -CHECK_TOL:
@@ -75,6 +75,14 @@ def _mixed_state(model):
            + 0.3 * model.basis_state("e", 0))
     psi /= np.linalg.norm(psi)
     return np.outer(psi, psi.conj())
+
+
+def test_reference_measurement_rejects_a_nan_state():
+    # as in quantum_sim._check, a NaN fails the trace test instead of passing it
+    model = resonant_model(LAM, OMEGA_PHI, N_max=1, kind="jaynes_cummings")
+    with pytest.raises(PositivityError, match="trace drifted to nan"):
+        _measure(model, [np.full((model.dim, model.dim), np.nan, dtype=complex)],
+                 np.zeros(1))
 
 
 @pytest.mark.parametrize("kind", ["jaynes_cummings", "full_rabi"])

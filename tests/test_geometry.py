@@ -57,7 +57,6 @@ def test_sphere_moments_are_exact():
     m = surface_moments(Sphere(1.0))
     assert m.R_X2 == pytest.approx(1.0 / 3.0, rel=1e-10)
     assert m.R_Z2 == pytest.approx(1.0 / 3.0, rel=1e-10)
-    assert m.S_X == 0.0
     assert m.S_Y == 0.0
     assert m.area == pytest.approx(4 * np.pi, rel=1e-12)
 
@@ -166,23 +165,17 @@ def test_quadrature_cross_check_agrees_with_closed_form(spec):
 # calls no libm function, so the floats are the same on every platform
 PINNED_INERTIA = [
     (Sphere(20e-9),
-     (1.177887805585933e-19, 1.8846204889374928e-35, 1.8846204889374928e-35,
-      1.8846204889374928e-35)),
+     (1.177887805585933e-19, 1.8846204889374928e-35, 1.8846204889374928e-35)),
     (ProlateEllipsoid(a=50e-9, b=20e-9),
-     (2.944719513964832e-19, 1.7079373180996028e-34, 1.7079373180996028e-34,
-      4.711551222343732e-35)),
+     (2.944719513964832e-19, 1.7079373180996028e-34, 4.711551222343732e-35)),
     (OblateEllipsoid(a=50e-9, b=20e-9),
-     (7.36179878491208e-19, 4.269843295249006e-34, 4.269843295249006e-34,
-      7.36179878491208e-34)),
+     (7.36179878491208e-19, 4.269843295249006e-34, 7.36179878491208e-34)),
     (Composite(b=80e-9, a=200e-9, c=10e-9),
-     (1.1224617335961993e-17, 4.8861319556020345e-32, 4.8861319556020345e-32,
-      7.827667989011228e-32)),
+     (1.1224617335961993e-17, 4.8861319556020345e-32, 7.827667989011228e-32)),
     (Composite(b=80e-9, a=200e-9, c=5e-9, zero_mass_disk=True),
-     (7.53848195574997e-18, 1.9298513806719926e-32, 1.9298513806719926e-32,
-      1.9298513806719926e-32)),
+     (7.53848195574997e-18, 1.9298513806719926e-32, 1.9298513806719926e-32)),
     (Composite(b=80e-9, a=200e-9, c=10e-9, disk_material="diamond"),
-     (1.3427920983679636e-17, 6.653181481071583e-32, 6.653181481071583e-32,
-      1.1352953825359454e-31)),
+     (1.3427920983679636e-17, 6.653181481071583e-32, 1.1352953825359454e-31)),
 ]
 
 
@@ -192,10 +185,10 @@ def test_inertia_and_mass_pinned(spec, expected):
 
 
 def test_sphere_inertia_closed_form():
-    m, ix, iy, iz = inertia_and_mass(Sphere(20e-9))
+    m, iy, iz = inertia_and_mass(Sphere(20e-9))
     rho = DEFAULT_CONSTANTS.density_diamond
     assert m == pytest.approx(rho * 4 / 3 * np.pi * (20e-9) ** 3, rel=1e-14)
-    assert ix == iy == iz
+    assert iy == iz
     assert iy == pytest.approx(0.4 * m * (20e-9) ** 2, rel=1e-14)
 
 
@@ -204,30 +197,29 @@ def test_sphere_inertia_closed_form():
     (OblateEllipsoid(a=2.5, b=1.0), 22.65625),   # rounds to the quoted 23
 ])
 def test_spheroid_inertia_ratio_to_same_radius_sphere(spec, expected_ratio):
-    m0, _, i0, _ = inertia_and_mass(Sphere(1.0))
-    _, _, iy, _ = inertia_and_mass(spec)
+    m0, i0, _ = inertia_and_mass(Sphere(1.0))
+    _, iy, _ = inertia_and_mass(spec)
     assert iy / i0 == pytest.approx(expected_ratio, rel=1e-12)
 
 
 def test_prolate_inertia_ratio_formula():
     # (a/b) * (a^2 + b^2) / (2 b^2) for the same-b sphere normalization
     a_over_b = 2.5
-    m0, _, i0, _ = inertia_and_mass(Sphere(1.0))
-    _, _, iy, _ = inertia_and_mass(ProlateEllipsoid(a=a_over_b, b=1.0))
+    m0, i0, _ = inertia_and_mass(Sphere(1.0))
+    _, iy, _ = inertia_and_mass(ProlateEllipsoid(a=a_over_b, b=1.0))
     assert iy / i0 == pytest.approx(a_over_b * (a_over_b**2 + 1) / 2, rel=1e-12)
 
 
 def test_build_body_sphere_total_charge():
     body = build_body(Sphere(20e-9), TotalCharge(50 * E))
     assert body.Q == pytest.approx(50 * 1.602e-19, rel=1e-3)
-    assert body.surface.S_X == 0.0 and body.surface.S_Y == 0.0
+    assert body.surface.S_Y == 0.0
 
 
 def test_build_body_prolate_reference_particle():
     body = build_body(ProlateEllipsoid(a=50e-9, b=20e-9), TotalCharge(366 * E))
     assert body.mass == pytest.approx(2.945e-19, rel=1e-3)
     assert body.I_Y == pytest.approx(1.708e-34, rel=1e-3)
-    assert body.I_X == body.I_Y
 
 
 def test_build_body_surface_density_charge():
@@ -258,8 +250,8 @@ def test_inertia_triangle_inequalities():
     for spec in (Sphere(1.0), ProlateEllipsoid(a=2.5, b=1.0),
                  OblateEllipsoid(a=2.5, b=1.0),
                  Composite(b=1.0, a=2.5, c=0.125)):
-        _, ix, iy, iz = inertia_and_mass(spec)
-        assert ix + iy >= iz and iy + iz >= ix and iz + ix >= iy
+        _, iy, iz = inertia_and_mass(spec)
+        assert 2.0 * iy >= iz
 
 
 @pytest.mark.parametrize("bad", [
@@ -302,9 +294,9 @@ def test_bad_length_error_names_the_field(bad, field):
 def test_lengths_at_the_range_ends_give_normal_bodies(spec):
     body = build_body(spec, SurfaceDensity(1e-6), constants=DEFAULT_CONSTANTS)
     s = body.surface
-    for value in (body.mass, body.I_X, body.I_Y, body.I_Z, body.Q, s.area, s.R_X2, s.R_Z2):
+    for value in (body.mass, body.I_Y, body.I_Z, body.Q, s.area, s.R_X2, s.R_Z2):
         assert sys.float_info.min <= value < math.inf
-    assert math.isfinite(s.S_X) and math.isfinite(s.S_Y)
+    assert math.isfinite(s.S_Y)
 
 
 def test_unknown_material_rejected():

@@ -15,8 +15,7 @@ from levrot.constants import DEFAULT_CONSTANTS
 from levrot.geometry import ProlateEllipsoid, Sphere, TotalCharge, build_body
 from levrot.rotor_dynamics import (ANGLE_LIMIT, RotorState, DampingModel, Trajectory,
                                    simulate_linear, simulate_nonlinear,
-                                   simulate_mathieu, extract_secular_frequency,
-                                   _angle_coefficients)
+                                   simulate_mathieu, extract_secular_frequency)
 from levrot.spectral import NoLineError
 from levrot.studio.cli import main
 from levrot.trap import (TrapConfig, Mode, MathieuCoefficients,
@@ -85,26 +84,26 @@ def test_linear_simulation_from_body_matches_secular(prolate20, trap50):
 
 
 def test_linear_matches_direct_integration(prolate20):
-    # I_X != I_Y and V_dc != 0 give each angle its own non-zero (a, q); the
-    # run is 78.8 drive periods long, so samples fall anywhere in a period
-    body = dataclasses.replace(prolate20, I_X=0.6 * prolate20.I_X)
+    # V_dc != 0 gives both angles a non-zero a; the run is 78.8 drive
+    # periods long, so samples fall anywhere in a period
     trap = TrapConfig(V_ac=5000.0, V_dc=50.0, drive_frequency=W50, z0=10e-6)
-    (a1, a2), (q1, q2) = _angle_coefficients(body, trap)
-    assert a1 != a2 and q1 != q2 and a1 != 0.0
-    omega = secular_frequency(mathieu_coefficients(body, trap, Mode.ROT_Y), trap).omega
+    c = mathieu_coefficients(prolate20, trap, Mode.ROT_Y)
+    assert c.a != 0.0
+    omega = secular_frequency(c, trap).omega
     gamma = omega / 30.0
     init = RotorState(phi1=0.01, phi2=-0.004, dphi1=0.002 * omega,
                       dphi2=-0.001 * omega)
     duration = 7.3 * TWO_PI / omega
-    traj = simulate_linear(body, trap, init, duration, DampingModel(gamma), samples=1000)
+    traj = simulate_linear(prolate20, trap, init, duration, DampingModel(gamma),
+                           samples=1000)
     assert not traj.unstable and traj.times.size == 1000
 
     k = 0.25 * W50 * W50
 
     def rhs(t, y):
-        drive = 2.0 * math.cos(W50 * t)
-        return [y[2], y[3], k * (-a1 + q1 * drive) * y[0] - gamma * y[2],
-                k * (-a2 + q2 * drive) * y[1] - gamma * y[3]]
+        stiffness = k * (-c.a + c.q * 2.0 * math.cos(W50 * t))
+        return [y[2], y[3], stiffness * y[0] - gamma * y[2],
+                stiffness * y[1] - gamma * y[3]]
 
     ref = solve_ivp(rhs, (0.0, duration), [init.phi1, init.phi2, init.dphi1, init.dphi2],
                     method="LSODA", rtol=1e-11, atol=1e-16, t_eval=traj.times)
@@ -113,6 +112,23 @@ def test_linear_matches_direct_integration(prolate20):
     for column, want in zip(got, ref.y):
         np.testing.assert_allclose(column, want, rtol=0.0,
                                    atol=5e-8 * np.max(np.abs(want)))
+
+
+def test_swapping_the_angles_swaps_the_linear_outputs(prolate20):
+    # one Phi(s) and one M serve both angles, so the columns swap bit for bit
+    trap = TrapConfig(V_ac=5000.0, V_dc=50.0, drive_frequency=W50, z0=10e-6)
+    omega = secular_frequency(mathieu_coefficients(prolate20, trap, Mode.ROT_Y), trap).omega
+    duration = 7.3 * TWO_PI / omega
+    damping = DampingModel(omega / 30.0)
+    init = RotorState(phi1=0.01, phi2=-0.004, dphi1=0.002 * omega, dphi2=-0.001 * omega)
+    swapped = RotorState(phi1=init.phi2, phi2=init.phi1, dphi1=init.dphi2,
+                         dphi2=init.dphi1)
+    one = simulate_linear(prolate20, trap, init, duration, damping, samples=1000)
+    other = simulate_linear(prolate20, trap, swapped, duration, damping, samples=1000)
+    assert np.array_equal(one.times, other.times)
+    for got, want in ((other.phi1, one.phi2), (other.phi2, one.phi1),
+                      (other.dphi1, one.dphi2), (other.dphi2, one.dphi1)):
+        assert np.array_equal(got, want)
 
 
 def test_unstable_drive_flags_trajectory():
@@ -154,27 +170,26 @@ def test_nonlinear_agrees_with_linear_at_small_angle(prolate20, trap50):
 
 
 def test_nonlinear_matches_independent_integration(prolate20):
-    # damped, both angles at large amplitude with their own (a, q) and
-    # non-zero start velocities, against LSODA on a right-hand side written
-    # here; 7.3 secular periods, so samples fall anywhere in a drive period
-    body = dataclasses.replace(prolate20, I_X=0.6 * prolate20.I_X)
+    # damped, both angles at large amplitude with non-zero a and start
+    # velocities, against LSODA on a right-hand side written here; 7.3
+    # secular periods, so samples fall anywhere in a drive period
     trap = TrapConfig(V_ac=5000.0, V_dc=50.0, drive_frequency=W50, z0=10e-6)
-    (a1, a2), (q1, q2) = _angle_coefficients(body, trap)
-    omega = secular_frequency(mathieu_coefficients(body, trap, Mode.ROT_Y), trap).omega
+    c = mathieu_coefficients(prolate20, trap, Mode.ROT_Y)
+    omega = secular_frequency(c, trap).omega
     gamma = omega / 30.0
     init = RotorState(phi1=0.4, phi2=-0.25, dphi1=0.05 * omega, dphi2=-0.03 * omega)
     duration = 7.3 * TWO_PI / omega
-    traj = simulate_nonlinear(body, trap, init, duration, DampingModel(gamma), samples=1000)
+    traj = simulate_nonlinear(prolate20, trap, init, duration, DampingModel(gamma),
+                              samples=1000)
     assert not traj.unstable and traj.times.size == 1000
 
     k = 0.125 * W50 * W50
 
     def rhs(t, y):
-        drive = 2.0 * math.cos(W50 * t)
+        torque = k * (-c.a + c.q * 2.0 * math.cos(W50 * t))
         return [y[2], y[3],
-                k * (-a1 + q1 * drive) * math.cos(y[1]) * math.sin(2.0 * y[0]) - gamma * y[2],
-                k * (-a2 + q2 * drive) * math.cos(y[0]) ** 2 * math.sin(2.0 * y[1])
-                - gamma * y[3]]
+                torque * math.cos(y[1]) * math.sin(2.0 * y[0]) - gamma * y[2],
+                torque * math.cos(y[0]) ** 2 * math.sin(2.0 * y[1]) - gamma * y[3]]
 
     ref = solve_ivp(rhs, (0.0, duration), [init.phi1, init.phi2, init.dphi1, init.dphi2],
                     method="LSODA", rtol=1e-12, atol=1e-16, t_eval=traj.times)
@@ -198,7 +213,8 @@ UNSTABLE_CASES = [
 def test_nonlinear_unstable_drive_stops_at_the_angle_limit(prolate20, case, kept):
     V_ac, periods, samples, start, gamma = case
     trap = TrapConfig(V_ac=V_ac, V_dc=0.0, drive_frequency=W50, z0=10e-6)
-    assert _angle_coefficients(prolate20, trap)[1][0] > 0.95  # beyond the first region
+    # beyond the first region
+    assert mathieu_coefficients(prolate20, trap, Mode.ROT_Y).q > 0.95
     traj = simulate_nonlinear(prolate20, trap, RotorState(*start),
                               periods * TWO_PI / W50, DampingModel(gamma), samples=samples)
     assert traj.unstable and traj.times.size == kept

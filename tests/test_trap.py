@@ -7,7 +7,7 @@ from levrot.constants import DEFAULT_CONSTANTS
 from levrot.geometry import (Sphere, ProlateEllipsoid, Composite, TotalCharge,
                              SurfaceDensity, build_body)
 from levrot.trap import (Mode, TrapConfig, MathieuCoefficients, AntiTrappingError,
-                         mathieu_coefficients, secular_frequency, secular_spectrum,
+                         mathieu_coefficients, secular_frequency,
                          floquet_stability, stability_boundary_q, stability_chart,
                          thermal_angle, charge_budget)
 
@@ -214,13 +214,6 @@ def test_charge_budget_inverts_axial_secular():
     line = secular_frequency(
         mathieu_coefficients(charged, tc, Mode.COM_AXIAL), tc)
     assert line.omega == pytest.approx(target / ratio, rel=5e-3)
-
-
-def test_secular_spectrum_covers_all_modes(prolate20, trap50):
-    spectrum = secular_spectrum(prolate20, trap50)
-    assert set(spectrum) == set(Mode)
-    assert spectrum[Mode.ROT_X].omega == pytest.approx(
-        spectrum[Mode.ROT_Y].omega, rel=1e-12)
 
 
 def test_zero_charge_rejected(trap50):

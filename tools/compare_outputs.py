@@ -81,6 +81,11 @@ NAMED = {
     "nonlinear_unstable": ({"trap": {"Vac_V": 20000.0},
                             "dynamics": {"model": "nonlinear", "phi2_0_rad": 0.005}},
                            ("dynamics",)),
+    # both angles, start velocities and damping through the linear model
+    "linear_both_angles": ({"dynamics": {"phi1_0_rad": 0.2, "phi2_0_rad": -0.1,
+                                         "dphi1_0_radps": 1.0e6, "dphi2_0_radps": -5.0e5,
+                                         "gamma_per_s": 2.0e5}},
+                           ("dynamics",)),
     # a decaying linear trajectory, where the spectral estimators differ most
     "damped_dynamics": ({"dynamics": {"gamma_per_s": 5.0e5}}, ("dynamics",)),
     # two warnings from one run: the drive leakage note raised inside

@@ -2,14 +2,17 @@
 
     python tools/replay_scenarios.py WORKLOAD --seeds A,B --first I --last J
 
-Run from a levrot checkout: the package is imported from ``src/`` and the
-scenario generator from ``bench/scenarios.py``, both next to this file's
-``tools/`` directory; nothing under ``bench/`` is written.  Scenarios I to J
-(inclusive) of each seed run call by call through ``levrot.studio.cli.main``,
-with one BLAS thread, as the benchmark's worker runs them, but without its
-clock or its output checks.  Every call that exits non-zero is printed with
-its seed, scenario, call index and stderr.  The last line counts scenarios,
-calls and failures; the exit code is 1 if any call failed.
+Run from a levrot checkout: the package is imported from ``src/``, and the
+scenario generator and output checks from ``bench/scenarios.py`` and
+``bench/checks.py``, all next to this file's ``tools/`` directory; nothing
+under ``bench/`` is written.  Scenarios I to J (inclusive) of each seed run
+call by call through ``levrot.studio.cli.main``, with one BLAS thread, as the
+benchmark's worker runs them, but without its clock.  Every call that exits
+0 then has its output files checked by ``checks.check_call``, as the
+benchmark checks them.  A call fails if it exits non-zero or its check
+raises; it is printed with its seed, scenario, call index and verb, and its
+stderr or the check's message.  The last line counts scenarios, calls and
+failed calls; the exit code is 1 if any call failed.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ def main(argv=None) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy loads, as in the benchmark's worker
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    from checks import check_call
     from scenarios import WORKLOADS, scenario
     from levrot.studio import cli
 
@@ -59,10 +63,18 @@ def main(argv=None) -> int:
                           contextlib.redirect_stderr(stderr)):
                         code = cli.main(["--config", str(config), "--out", str(out),
                                          "--threads", "1", "--format", call.fmt, call.verb])
+                    where = f"seed {seed} scenario {index} call {k} ({call.verb})"
                     if code != 0:
                         failed += 1
-                        print(f"seed {seed} scenario {index} call {k} ({call.verb}) "
-                              f"exit {code}: {stderr.getvalue().strip()}", flush=True)
+                        print(f"{where} exit {code}: {stderr.getvalue().strip()}",
+                              flush=True)
+                        continue
+                    try:
+                        check_call(call, out)
+                    except Exception as exc:  # noqa: BLE001 - any bad output fails the call
+                        failed += 1
+                        print(f"{where} check failed: {type(exc).__name__}: {exc}",
+                              flush=True)
     print(f"{args.workload}: {scenarios} scenarios, {calls} calls, {failed} failed")
     return 1 if failed else 0
 
