@@ -21,7 +21,7 @@ a tilt about either transverse axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constants import PhysicalConstants, DEFAULT_CONSTANTS
 
@@ -161,7 +161,6 @@ class BodyProperties:
     I_Z: float       # kg m^2
     surface: SurfaceMoments
     Q: float         # C
-    spec: ParticleSpec = field(repr=False, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +277,4 @@ def build_body(spec: ParticleSpec, charge: ChargeModel,
         Q = charge.Q_tot
     else:
         Q = charge.sigma * moments.area
-    return BodyProperties(mass=mass, I_Y=I_Y, I_Z=I_Z, surface=moments, Q=Q,
-                          spec=spec)
-
-
-# closed-form spheroid areas in eccentricity form, used as independent checks
-
-def prolate_spheroid_area(a: float, b: float) -> float:
-    if a == b:
-        return 4.0 * math.pi * b * b
-    e = math.sqrt(1.0 - (b / a) ** 2)
-    return 2.0 * math.pi * b * b * (1.0 + (a / (b * e)) * math.asin(e))
-
-
-def oblate_spheroid_area(a: float, b: float) -> float:
-    if a == b:
-        return 4.0 * math.pi * b * b
-    e = math.sqrt(1.0 - (b / a) ** 2)
-    return 2.0 * math.pi * a * a + math.pi * (b * b / e) * math.log((1.0 + e) / (1.0 - e))
+    return BodyProperties(mass=mass, I_Y=I_Y, I_Z=I_Z, surface=moments, Q=Q)

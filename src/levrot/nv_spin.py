@@ -1,7 +1,8 @@
-"""NV ground-state spin in a transverse field: mixed states, microwave dressing,
-spin operators in the mixed basis and the closed-form spin-phonon resonance
-solver, whose broadcastable mixing angle, e-d gap, K and detuning the coupling
-maps share.
+"""NV ground-state spin in a transverse field: the mixing angle and energies of
+the mixed states, the microwave-dressed angle and energies, and the
+closed-form spin-phonon resonance solver, whose broadcastable mixing angle,
+e-d gap, K and detuning the coupling maps share.  Every result is a closed
+form; no spin matrix or eigenvector is built.
 
 All energies are handled internally as angular frequencies (rad/s); inputs
 that are conventionally quoted in ordinary frequency (D, gamma*B, Rabi
@@ -19,18 +20,6 @@ import numpy as np
 from .constants import PhysicalConstants, DEFAULT_CONSTANTS
 
 TWO_PI = 2.0 * math.pi
-
-# spin-1 operators in the {|-1>, |0>, |+1>} basis
-SQRT2 = math.sqrt(2.0)
-S_Z = np.diag([-1.0, 0.0, 1.0]).astype(complex)
-S_X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / SQRT2
-_SP = np.array([[0, 0, 0], [SQRT2, 0, 0], [0, SQRT2, 0]], dtype=complex)  # S_+
-S_Y = (_SP - _SP.conj().T) / 2.0j
-
-# states that the transverse field mixes: |d> stays put, |0> and |b> rotate by theta
-_KET_D = np.array([1.0, 0.0, -1.0], dtype=complex) / SQRT2
-_KET_B = np.array([1.0, 0.0, 1.0], dtype=complex) / SQRT2
-_KET_0 = np.array([0.0, 1.0, 0.0], dtype=complex)
 
 
 class ResonanceUnreachableError(ValueError):
@@ -56,10 +45,10 @@ class SpinConfig:
 
 @dataclass(frozen=True)
 class MixedSpinSpectrum:
-    """Eigenstructure of D*S_z^2 + gamma*B*S_x.
-
-    theta is the mixing angle (tan 2theta = 2 gamma B / D); vectors holds the
-    |g>, |d>, |e> eigenvectors as columns in the {|-1>, |0>, |+1>} basis.
+    """Eigenvalues of D*S_z^2 + gamma*B*S_x and the mixing angle theta
+    (tan 2theta = 2 gamma B / D): |d> = (|-1> - |+1>)/sqrt2 stays put, while
+    |g> = cos(theta)|0> - sin(theta)|b> and |e> = sin(theta)|0> + cos(theta)|b>,
+    |b> = (|-1> + |+1>)/sqrt2.
     """
 
     config: SpinConfig
@@ -67,7 +56,6 @@ class MixedSpinSpectrum:
     omega_g: float      # rad/s
     omega_d: float      # rad/s
     omega_e: float      # rad/s
-    vectors: np.ndarray
 
     @property
     def omega_dg(self) -> float:
@@ -94,29 +82,18 @@ class MicrowaveConfig:
 @dataclass(frozen=True)
 class DressedSpectrum:
     """Microwave-dressed structure of the g/d subspace, with |e> shifted to
-    the rotating frame.  vectors holds |+>, |->, |e> columns in {g, d, e}."""
+    the rotating frame: |+> = i sin(psi)|g> + cos(psi)|d> and
+    |-> = -i cos(psi)|g> + sin(psi)|d>, tan 2psi = Omega_R / Delta."""
 
     psi: float            # rad
     omega_plus: float     # rad/s
     omega_minus: float    # rad/s
     omega_e_prime: float  # rad/s
     detuning: float       # rad/s
-    vectors: np.ndarray
 
     @property
     def splitting(self) -> float:
         return self.omega_plus - self.omega_minus
-
-
-def hamiltonian_lab(config: SpinConfig) -> np.ndarray:
-    """3x3 spin Hamiltonian in angular units over {|-1>, |0>, |+1>}."""
-    return TWO_PI * (config.D * (S_Z @ S_Z) + config.gamma * config.B * S_X)
-
-
-def _mixed_basis(theta: float) -> np.ndarray:
-    """|g>, |d>, |e> as columns in the {|-1>, |0>, |+1>} basis."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.column_stack([c * _KET_0 - s * _KET_B, _KET_D, s * _KET_0 + c * _KET_B])
 
 
 def mixed_spectrum(config: SpinConfig) -> MixedSpinSpectrum:
@@ -127,14 +104,7 @@ def mixed_spectrum(config: SpinConfig) -> MixedSpinSpectrum:
     omega_e = TWO_PI * config.D * (1.0 + root) / 2.0
     omega_d = TWO_PI * config.D
     return MixedSpinSpectrum(config=config, theta=theta, omega_g=omega_g,
-                             omega_d=omega_d, omega_e=omega_e,
-                             vectors=_mixed_basis(theta))
-
-
-def spin_operators_mixed_basis(theta: float):
-    """(S_x, S_y, S_z) rotated into the {|g>, |d>, |e>} basis for mixing angle theta."""
-    U = _mixed_basis(theta)
-    return tuple(U.conj().T @ S @ U for S in (S_X, S_Y, S_Z))
+                             omega_d=omega_d, omega_e=omega_e)
 
 
 def mixing_angle(B, D: float, gamma: float):
@@ -183,14 +153,8 @@ def dressed_spectrum(mixed: MixedSpinSpectrum, mw: MicrowaveConfig) -> DressedSp
     w = math.sqrt(delta * delta + rabi * rabi)
     omega_drive = mixed.omega_dg + delta
     omega_e_prime = mixed.omega_e - (omega_drive + mixed.omega_g + mixed.omega_d) / 2.0
-
-    cp, sp = math.cos(psi), math.sin(psi)
-    plus = np.array([1j * sp, cp, 0.0], dtype=complex)
-    minus = np.array([-1j * cp, sp, 0.0], dtype=complex)
-    e = np.array([0.0, 0.0, 1.0], dtype=complex)
     return DressedSpectrum(psi=psi, omega_plus=0.5 * w, omega_minus=-0.5 * w,
-                           omega_e_prime=omega_e_prime, detuning=delta,
-                           vectors=np.column_stack([plus, minus, e]))
+                           omega_e_prime=omega_e_prime, detuning=delta)
 
 
 @dataclass(frozen=True)

@@ -54,14 +54,6 @@ class QuantumModel:
         v[self.index(spin, n)] = 1.0
         return v
 
-    def excitation_operator(self) -> np.ndarray:
-        """|e><e| + a^dag a, conserved by the Jaynes-Cummings kind."""
-        nf = self.N_max + 1
-        proj_e = np.zeros((3, 3))
-        proj_e[EXCITED, EXCITED] = 1.0
-        return (np.kron(proj_e, np.eye(nf))
-                + np.kron(np.eye(3), np.diag(np.arange(nf, dtype=float))))
-
 
 def _destroy(nf: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, nf, dtype=float)), k=1)

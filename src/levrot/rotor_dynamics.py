@@ -5,12 +5,12 @@ trap.Mode.ROT_Y.  The linear model applies one drive period of
 trap._period_flow to both as x(nT + s) = Phi(s) M^n x(0); the nonlinear one
 keeps the full trigonometric torque (cos(phi2) sin(2 phi1) and
 cos^2(phi1) sin(2 phi2)), whose linearization reproduces the linear model
-exactly, under scipy's compiled DOP853 with one restart per sample.
-Spin about the symmetry axis is held at zero throughout.  The secular
-frequency of a trajectory is the strongest matrix-pencil pole of its angle
-with the larger variance, below half the drive frequency
-(spectral.dominant_pole); a trajectory without such a line raises
-spectral.NoLineError.
+exactly, under scipy's compiled DOP853 with one restart per sample.  Both
+integrations run at the relative tolerance RTOL.  Spin about the symmetry
+axis is held at zero throughout.  The secular frequency of a trajectory is
+the strongest matrix-pencil pole of its angle with the larger variance,
+below half the drive frequency (spectral.dominant_pole); a trajectory
+without such a line raises spectral.NoLineError.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .trap import TrapConfig, Mode, _period_flow, mathieu_coefficients
 
 ANGLE_LIMIT = 0.5 * math.pi  # beyond this the small-angle model is meaningless
 MIN_SPECTRAL_SAMPLES = 1 << 10
+RTOL = 1e-9  # relative tolerance of the linear one-period flow and the nonlinear run
 
 
 @dataclass(frozen=True)
@@ -52,13 +53,12 @@ class Trajectory:
     phi2: np.ndarray
     dphi1: np.ndarray
     dphi2: np.ndarray
-    sample_interval: float       # s
     drive_frequency: float       # Omega of the trap, rad/s
     unstable: bool = False
 
 
 def _linear_trajectory(a: float, q: float, W: float, gamma: float, init: RotorState,
-                       duration: float, samples: int, rtol: float) -> Trajectory:
+                       duration: float, samples: int) -> Trajectory:
     """Both angles as x(nT + s) = Phi(s) M^n x(0), in tau = W t/2 with damping
     d = gamma/W; x is a 2x2 state whose columns are phi1 and phi2.  The run
     ends before the first sample beyond ANGLE_LIMIT; M^n x(0) is not formed
@@ -67,7 +67,7 @@ def _linear_trajectory(a: float, q: float, W: float, gamma: float, init: RotorSt
     tau = 0.5 * W * times
     period = np.floor(tau / math.pi).astype(np.int64)
     s = np.clip(tau - period * math.pi, 0.0, math.pi)
-    flow = _period_flow(a, q, gamma / W, np.append(s, math.pi), rtol=rtol)  # Phi(s), M
+    flow = _period_flow(a, q, gamma / W, np.append(s, math.pi), rtol=RTOL)  # Phi(s), M
 
     starts = [np.array([[init.phi1, init.phi2],
                         [2.0 * init.dphi1 / W, 2.0 * init.dphi2 / W]])]
@@ -79,30 +79,30 @@ def _linear_trajectory(a: float, q: float, W: float, gamma: float, init: RotorSt
     over = np.flatnonzero(np.max(np.abs(x[0]), axis=0) > ANGLE_LIMIT)
     n = int(over[0]) if over.size else keep
     y = np.concatenate([x[0, :, :n], 0.5 * W * x[1, :, :n]])  # phi1, phi2, dphi1, dphi2
-    return Trajectory(times[:n], *y, times[1] - times[0], W, unstable=n < samples)
+    return Trajectory(times[:n], *y, W, unstable=n < samples)
 
 
 def simulate_linear(body: BodyProperties, trap: TrapConfig, init: RotorState,
                     duration: float, damping: DampingModel = DampingModel(),
-                    samples: int = 4096, rtol: float = 1e-9) -> Trajectory:
-    """Small-angle (Mathieu) dynamics of both tilt angles; rtol is the
+                    samples: int = 4096) -> Trajectory:
+    """Small-angle (Mathieu) dynamics of both tilt angles; RTOL is the
     tolerance of the one-period integration behind it."""
     c = mathieu_coefficients(body, trap, Mode.ROT_Y)
     return _linear_trajectory(c.a, c.q, trap.drive_frequency, damping.gamma, init,
-                              duration, samples, rtol)
+                              duration, samples)
 
 
 def simulate_nonlinear(body: BodyProperties, trap: TrapConfig, init: RotorState,
                        duration: float, damping: DampingModel = DampingModel(),
-                       samples: int = 4096, rtol: float = 1e-9) -> Trajectory:
+                       samples: int = 4096) -> Trajectory:
     """Two-angle dynamics with the full trigonometric torque.
 
     scipy's compiled Hairer DOP853 (``scipy.integrate.ode``) integrates to
-    each sample time in turn, so the stepper restarts once per sample.  The
-    run stops at the first accepted step after t = 0 that ends with
-    max(|phi1|, |phi2|) >= ANGLE_LIMIT and keeps the samples before it,
-    flagged unstable; a start exactly at the limit is flagged unless its
-    first step moves inward.  There is no step limit per sample interval.
+    each sample time in turn at relative tolerance RTOL, so the stepper
+    restarts once per sample.  The run stops at the first accepted step
+    after t = 0 that ends with max(|phi1|, |phi2|) >= ANGLE_LIMIT and keeps
+    the samples before it, flagged unstable; a start exactly at the limit is
+    flagged unless its first step moves inward.  There is no step limit per sample interval.
     """
     from scipy.integrate import ode
 
@@ -125,7 +125,7 @@ def simulate_nonlinear(body: BodyProperties, trap: TrapConfig, init: RotorState,
     times = np.linspace(0.0, duration, samples)
     y = np.empty((4, samples))  # phi1, phi2, dphi1, dphi2
     y[:, 0] = init.phi1, init.phi2, init.dphi1, init.dphi2
-    solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=1e-14,
+    solver = ode(rhs).set_integrator("dop853", rtol=RTOL, atol=1e-14,
                                      nsteps=np.iinfo(np.int32).max)
     solver.set_solout(blowup)
     solver.set_initial_value(y[:, 0], 0.0)
@@ -138,17 +138,7 @@ def simulate_nonlinear(body: BodyProperties, trap: TrapConfig, init: RotorState,
         if not solver.successful():
             raise RuntimeError(f"integration failed: dop853 return code "
                                f"{solver.get_return_code()}")
-    return Trajectory(times[:n], *y[:, :n], times[1] - times[0], W, unstable=n < samples)
-
-
-def simulate_mathieu(a: float, q: float, drive_frequency: float, init: RotorState,
-                     n_drive_periods: float, damping: DampingModel = DampingModel(),
-                     samples: int = 4096, rtol: float = 1e-9) -> Trajectory:
-    """Normal-form Mathieu dynamics from given (a, q), for stability charts and
-    cross-checks without a physical body; phi2 has the same coefficients."""
-    duration = n_drive_periods * 2.0 * math.pi / drive_frequency
-    return _linear_trajectory(a, q, drive_frequency, damping.gamma,
-                              init, duration, samples, rtol)
+    return Trajectory(times[:n], *y[:, :n], W, unstable=n < samples)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +160,7 @@ def extract_secular_frequency(traj: Trajectory) -> float:
             f"need at least {MIN_SPECTRAL_SAMPLES} samples, got {traj.times.size}")
 
     angle = traj.phi1 if np.var(traj.phi1) >= np.var(traj.phi2) else traj.phi2
-    pole = dominant_pole(angle, traj.sample_interval,
+    pole = dominant_pole(angle, traj.times[1] - traj.times[0],
                          1.0 / (traj.times[-1] - traj.times[0]),
                          traj.drive_frequency / (4.0 * math.pi))  # half the drive, in Hz
     return 2.0 * math.pi * pole.frequency

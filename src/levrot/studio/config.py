@@ -146,6 +146,7 @@ _DECLARED = {
     "dynamics.samples": {"minimum": MIN_SPECTRAL_SAMPLES},
     "jc_sim.samples": {"minimum": 2},
     "dynamics.n_secular_periods": _POSITIVE, "jc_sim.n_transfers": _POSITIVE,
+    "dynamics.gamma_per_s": {"minimum": 0}, "jc_sim.phonon_rate_per_s": {"minimum": 0},
     "dynamics.phi1_0_rad": _ANGLE, "dynamics.phi2_0_rad": _ANGLE,
     "table1.rows[]": _SHAPE_ID, "fig4_curves.families[].shapes[]": _SHAPE_ID,
     "fig4_curves.families[].label": _LABEL,

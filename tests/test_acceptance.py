@@ -21,8 +21,7 @@ from levrot.coupling import (DecoherenceBudget, dressed_coupling, rotational_mod
                              strong_coupling_assessment, coupling_vs_rabi)
 from levrot.geometry import (Sphere, ProlateEllipsoid, OblateEllipsoid,
                              SurfaceDensity, TotalCharge, build_body,
-                             surface_moments, prolate_spheroid_area,
-                             oblate_spheroid_area)
+                             surface_moments)
 from levrot.nv_spin import (SpinConfig, MicrowaveConfig, mixed_spectrum,
                             dressed_spectrum, resonance_solve, TWO_PI)
 from levrot.quantum_sim import (LindbladChannels, evolve, exchange_frequency,
@@ -32,6 +31,7 @@ from levrot.studio.cli import main
 from levrot.trap import (MathieuCoefficients, Mode, TrapConfig,
                          secular_frequency, stability_boundary_q, stability_chart,
                          thermal_angle)
+from test_geometry import oblate_spheroid_area, prolate_spheroid_area
 
 C = DEFAULT_CONSTANTS
 E = C.elementary_charge
@@ -180,8 +180,7 @@ def test_mathieu_cross_validation():
         times, (phi,) = _direct_mathieu(0.0, q, 300, 8192, 1e-9)
         n = times.size
         traj = Trajectory(times=times, phi1=phi, phi2=np.zeros(n), dphi1=np.zeros(n),
-                          dphi2=np.zeros(n), sample_interval=times[1] - times[0],
-                          drive_frequency=W50)
+                          dphi2=np.zeros(n), drive_frequency=W50)
         extracted = extract_secular_frequency(traj)
         formula = secular_frequency(
             MathieuCoefficients(Mode.ROT_Y, 0.0, q), trap).omega

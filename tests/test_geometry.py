@@ -8,10 +8,28 @@ from scipy.integrate import quad
 from levrot.constants import DEFAULT_CONSTANTS
 from levrot.geometry import (Sphere, ProlateEllipsoid, OblateEllipsoid, Composite,
                              TotalCharge, SurfaceDensity, surface_moments,
-                             inertia_and_mass, build_body, prolate_spheroid_area,
-                             oblate_spheroid_area)
+                             inertia_and_mass, build_body)
 
 E = DEFAULT_CONSTANTS.elementary_charge
+
+
+# ---------------------------------------------------------------------------
+# closed-form spheroid areas in eccentricity form, an oracle independent of
+# the asin/asinh integrals that geometry evaluates
+# ---------------------------------------------------------------------------
+
+def prolate_spheroid_area(a: float, b: float) -> float:
+    if a == b:
+        return 4.0 * math.pi * b * b
+    e = math.sqrt(1.0 - (b / a) ** 2)
+    return 2.0 * math.pi * b * b * (1.0 + (a / (b * e)) * math.asin(e))
+
+
+def oblate_spheroid_area(a: float, b: float) -> float:
+    if a == b:
+        return 4.0 * math.pi * b * b
+    e = math.sqrt(1.0 - (b / a) ** 2)
+    return 2.0 * math.pi * a * a + math.pi * (b * b / e) * math.log((1.0 + e) / (1.0 - e))
 
 
 # ---------------------------------------------------------------------------

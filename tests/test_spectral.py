@@ -9,8 +9,7 @@ import pytest
 
 from levrot.quantum_sim import (EXCITED, LindbladChannels, evolve,
                                 exchange_frequency, resonant_model)
-from levrot.rotor_dynamics import (DampingModel, RotorState, extract_secular_frequency,
-                                   simulate_mathieu)
+from levrot.rotor_dynamics import RotorState, _linear_trajectory, extract_secular_frequency
 from levrot.spectral import NoLineError, dominant_pole
 from levrot.trap import stability_chart
 from test_evolve_reference import _dense_liouvillian
@@ -69,8 +68,7 @@ def floquet_line(a, q, d):
                                          (-0.05, 0.5, 0.0), (0.02, 0.4, 5e6)])
 def test_linear_trajectory_line_is_the_floquet_line(a, q, gamma):
     init = RotorState(phi1=0.01, phi2=0.0, dphi1=0.0, dphi2=0.0)
-    traj = simulate_mathieu(a, q, W50, init, n_drive_periods=400.2,
-                            damping=DampingModel(gamma), samples=4096)
+    traj = _linear_trajectory(a, q, W50, gamma, init, 400.2 * TWO_PI / W50, 4096)
     assert not traj.unstable
     want = floquet_line(a, q, gamma / W50)
     assert extract_secular_frequency(traj) == pytest.approx(want, rel=1e-8)

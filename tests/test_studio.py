@@ -239,6 +239,17 @@ for section, key, bound in EXCLUSIVE:
     EXCLUSIVE_CASES += [(f"{section}.{key}", {section: {key: float(bound)}}),
                         (f"{section}.{key}", {section: {key: bound - 5.0}}),
                         (None, {section: {key: math.nextafter(bound, math.inf)}})]
+# rates are never negative: zero is accepted, the next double down is not.
+# They join BOUNDS only here, and their cases come last in the list, because
+# the ids are positional and an entry in ACCEPTED would renumber every case
+# after it
+RATE_BOUNDS = [("dynamics", "gamma_per_s", "minimum", 0.0),
+               ("jc_sim", "phonon_rate_per_s", "minimum", 0.0)]
+BOUNDS += RATE_BOUNDS
+RATE_CASES = []
+for section, key, _, bound in RATE_BOUNDS:
+    RATE_CASES += [(None, {section: {key: bound}}),
+                   (f"{section}.{key}", {section: {key: math.nextafter(bound, -math.inf)}})]
 
 
 @pytest.fixture(scope="module")
@@ -249,7 +260,8 @@ def published_schema(tmp_path_factory):
 
 
 @pytest.mark.parametrize("key, doc",
-                         [(None, doc) for doc in ACCEPTED] + REJECTED + EXCLUSIVE_CASES)
+                         [(None, doc) for doc in ACCEPTED] + REJECTED + EXCLUSIVE_CASES
+                         + RATE_CASES)
 def test_code_and_schema_agree(key, doc, published_schema):
     if key is None:
         RunConfig(doc)
@@ -331,6 +343,8 @@ def test_committed_schema_is_current(tmp_path):
     ("dynamics", {"dynamics": {"n_secular_periods": -5.0}}, "dynamics_trajectory.csv"),
     ("dynamics", {"dynamics": {"n_secular_periods": 0.0}}, "dynamics_trajectory.csv"),
     ("jc-sim", {"jc_sim": {"n_transfers": 0.0}}, "jc_populations.csv"),
+    # a rate is never negative, even where the run does not read it
+    ("jc-sim", {"jc_sim": {"phonon_rate_per_s": -5.0}}, "jc_populations.csv"),
 ])
 def test_rejected_config_writes_nothing(tmp_path, capsys, verb, config, output):
     code, out = run_cli(tmp_path, verb, config=config)
