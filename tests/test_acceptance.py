@@ -20,12 +20,10 @@ from levrot.constants import DEFAULT_CONSTANTS
 from levrot.coupling import (DecoherenceBudget, dressed_coupling, rotational_mode,
                              strong_coupling_assessment, coupling_vs_rabi)
 from levrot.geometry import (Sphere, ProlateEllipsoid, OblateEllipsoid,
-                             SurfaceDensity, TotalCharge, build_body,
-                             surface_moments)
+                             TotalCharge, build_body, surface_moments)
 from levrot.nv_spin import (SpinConfig, MicrowaveConfig, mixed_spectrum,
                             dressed_spectrum, resonance_solve, TWO_PI)
-from levrot.quantum_sim import (LindbladChannels, evolve, exchange_frequency,
-                                resonant_model)
+from levrot.quantum_sim import evolve, exchange_frequency, resonant_model
 from levrot.rotor_dynamics import Trajectory, extract_secular_frequency
 from levrot.studio.cli import main
 from levrot.trap import (MathieuCoefficients, Mode, TrapConfig,

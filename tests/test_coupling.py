@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from levrot.constants import DEFAULT_CONSTANTS
-from levrot.coupling import (RotationalMode, DecoherenceBudget, rotational_mode,
-                             dressed_coupling, strong_coupling_assessment,
-                             coupling_map_rows, resonance_curve, coupling_vs_rabi,
-                             bare_rate_vs_field)
-from levrot.geometry import (Sphere, ProlateEllipsoid, OblateEllipsoid, Composite,
+from levrot.coupling import (DecoherenceBudget, rotational_mode, dressed_coupling,
+                             strong_coupling_assessment, coupling_map_rows,
+                             resonance_curve, coupling_vs_rabi, bare_rate_vs_field)
+from levrot.geometry import (ProlateEllipsoid, OblateEllipsoid, Composite,
                              SurfaceDensity, TotalCharge, build_body)
 from levrot.nv_spin import (SpinConfig, MicrowaveConfig, mixed_spectrum,
                             dressed_spectrum, resonance_solve, TWO_PI)

@@ -7,8 +7,7 @@ import pytest
 from levrot import quantum_sim
 from levrot.coupling import DecoherenceBudget
 from levrot.nv_spin import TWO_PI
-from levrot.quantum_sim import (QuantumModel, LindbladChannels, EvolutionResult,
-                                PositivityError, build_model,
+from levrot.quantum_sim import (LindbladChannels, EvolutionResult, PositivityError,
                                 resonant_model, evolve, exchange_frequency,
                                 thermal_initial_state, SPIN_LABELS)
 from levrot.spectral import NoLineError

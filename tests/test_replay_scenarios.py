@@ -1,7 +1,6 @@
 """tools/replay_scenarios.py on one benchmark scenario."""
 
 import importlib.util
-import os
 import subprocess
 import sys
 import types
